@@ -133,7 +133,7 @@ struct ChurnResult {
   double wall_seconds = 0;
 };
 
-ChurnResult RunFlatChurn(int devices, const std::vector<ChurnEvent>& trace) {
+ChurnResult RunFlatChurn(const std::vector<ChurnEvent>& trace) {
   const auto wall_start = std::chrono::steady_clock::now();
   sim::Simulator sim;
   control::EventProcessor global(sim, kServiceTime);
@@ -363,7 +363,7 @@ int main() {
   std::printf("== Part A: churn sweep, flat vs federated ==\n");
   for (const int devices : {10000, 30000, 100000}) {
     const auto trace = MakeTrace(devices, /*seed=*/0xFEDC0DEull);
-    const ChurnResult flat = RunFlatChurn(devices, trace);
+    const ChurnResult flat = RunFlatChurn(trace);
     const ChurnResult fed = RunFederatedChurn(devices, trace);
     rows.push_back({devices, "flat", flat});
     rows.push_back({devices, "federated", fed});

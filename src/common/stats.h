@@ -1,14 +1,10 @@
-// Streaming statistics helpers used by the benchmark harnesses, plus
-// the legacy process-wide counter structs — now thin adapters over the
-// obs::MetricsRegistry (see src/obs/) so the same counts appear in the
-// registry's JSON / Prometheus exports without touching any call site.
+// Streaming statistics helper used by the benchmark harnesses. Process-wide
+// counters live in the obs::MetricsRegistry (see obs/obs.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace iotsec {
 
@@ -57,80 +53,5 @@ class SampleStats {
   std::vector<double> samples_;
   double sum_ = 0;
 };
-
-/// Compatibility adapter: same Inc/Value/Reset surface as the original
-/// relaxed-atomic counter, but backed by a named obs::Counter in the
-/// global MetricsRegistry (sharded per-thread, still safe for the
-/// concurrent paths — a shared CompiledRuleset is evaluated read-only by
-/// many µmboxes at once). Two adapters constructed with the same name
-/// alias the same registry counter; the structs below are only ever
-/// instantiated through their Global*() singletons.
-class Counter {
- public:
-  explicit Counter(const char* name)
-      : impl_(obs::MetricsRegistry::Global().GetCounter(name)) {}
-
-  void Inc(std::uint64_t n = 1) { impl_->Inc(n); }
-  [[nodiscard]] std::uint64_t Value() const { return impl_->Value(); }
-  void Reset() { impl_->Reset(); }
-
- private:
-  obs::Counter* impl_;
-};
-
-/// Process-wide counters for the packet fast path (parse-once header
-/// caching and pooled packet allocation — see DESIGN.md §3 "fast path").
-/// The per-switch microflow-cache counters live on the cache itself
-/// (sdn::MicroflowCache::Stats); these cover the packet-level layers.
-struct FastPathCounters {
-  Counter parse_full{"fastpath.parse_full"};     // computed from raw bytes
-  Counter parse_cached{"fastpath.parse_cached"}; // served from cached view
-  Counter pool_fresh{"fastpath.pool_fresh"};     // packets heap-allocated
-  Counter pool_reused{"fastpath.pool_reused"};   // recycled from free list
-
-  void Reset() {
-    parse_full.Reset();
-    parse_cached.Reset();
-    pool_fresh.Reset();
-    pool_reused.Reset();
-  }
-};
-
-inline FastPathCounters& GlobalFastPath() {
-  static FastPathCounters counters;
-  return counters;
-}
-
-/// Process-wide counters for the DPI engine (dense Aho-Corasick DFA +
-/// shared compiled-ruleset cache — see DESIGN.md "DPI engine"). The
-/// compile counters are the compile-once-deploy-everywhere proof: M
-/// µmboxes loading the same SKU ruleset must show M-1 cache hits and one
-/// compile.
-struct SigCounters {
-  Counter compiles{"sig.compiles"};           // rulesets compiled (DFA built)
-  Counter cache_hits{"sig.cache_hits"};       // served by the shared cache
-  Counter cache_misses{"sig.cache_misses"};   // had to compile (incl. expired)
-  Counter cache_expired{"sig.cache_expired"}; // found but fully released
-  Counter evaluations{"sig.evaluations"};     // Evaluate calls
-  Counter scan_bytes{"sig.scan_bytes"};       // payload bytes through the DFA
-  Counter matches{"sig.matches"};             // evaluations with >=1 rule hit
-                                              // (the rollout health gate's
-                                              // pre/post baseline signal)
-
-  void Reset() {
-    compiles.Reset();
-    cache_hits.Reset();
-    cache_misses.Reset();
-    cache_expired.Reset();
-    evaluations.Reset();
-    scan_bytes.Reset();
-    matches.Reset();
-  }
-};
-
-inline SigCounters& GlobalSig() {
-  static SigCounters counters;
-  return counters;
-}
 
 }  // namespace iotsec

@@ -17,8 +17,10 @@ std::string_view AuditCategoryName(AuditCategory c) {
 }
 
 std::string AuditEntry::ToString() const {
-  std::string out = "[" + FormatDuration(at) + "] " +
-                    std::string(AuditCategoryName(category));
+  std::string out = "[";
+  out += FormatDuration(at);
+  out += "] ";
+  out += AuditCategoryName(category);
   if (!device.empty()) out += " " + device;
   out += ": " + message;
   return out;

@@ -28,8 +28,7 @@ Deployment::Deployment(DeploymentOptions options)
         so.shards = options_.shards;
         // Conservative lookahead: every cross-shard hop is a device
         // uplink, so its propagation delay bounds the quantum.
-        so.quantum = options_.shard_quantum != 0 ? options_.shard_quantum
-                                                 : options_.link.latency;
+        so.quantum = options_.link.latency;
         so.use_threads = options_.shard_threads;
         so.enter_shard = [this](int s) {
           net::PacketPool::BindToThisThread(

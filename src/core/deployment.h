@@ -90,9 +90,6 @@ struct DeploymentOptions {
   /// Sharded mode: execute shards 1..N-1 on worker threads (true) or all
   /// inline on the caller (false — identical results, easier debugging).
   bool shard_threads = true;
-  /// Sharded mode: lockstep quantum override; 0 derives it from the link
-  /// latency (the conservative lookahead bound).
-  SimDuration shard_quantum = 0;
 };
 
 class Deployment {

@@ -276,9 +276,11 @@ void ShardedFleet::BuildDevices() {
       throw std::runtime_error("fleet umbox launch failed: " + error);
     }
 
+    sdn::FlowMatch from_device;
+    from_device.in_port = dev.in_port;
     slice.sw->flow_table().Install(sdn::FlowEntry{
         /*priority=*/100,
-        sdn::FlowMatch{.in_port = dev.in_port},
+        from_device,
         {sdn::FlowAction::Tunnel(static_cast<UmboxId>(dev.id), /*port=*/0)},
         /*version=*/1,
         /*cookie=*/static_cast<std::uint64_t>(dev.id)});
@@ -290,7 +292,7 @@ void ShardedFleet::BuildDevices() {
   for (auto& slice : slices_) {
     slice->sw->flow_table().Install(sdn::FlowEntry{
         /*priority=*/50,
-        sdn::FlowMatch{.ip_dst = net::Ipv4Prefix(slice->agg_ip, 32)},
+        sdn::FlowMatch::ToIp(slice->agg_ip),
         {sdn::FlowAction::Output(/*port=*/2)},
         /*version=*/1,
         /*cookie=*/0xA6600000ull + static_cast<std::uint64_t>(slice->index)});

@@ -88,7 +88,10 @@ void SignatureMatcher::Push(net::PacketPtr pkt, int in_port) {
   const auto verdict = rules_.Evaluate(*frame);
   if (verdict.Matched()) {
     std::string detail = "sids:";
-    for (auto sid : verdict.matched_sids) detail += " " + std::to_string(sid);
+    for (auto sid : verdict.matched_sids) {
+      detail += ' ';
+      detail += std::to_string(sid);
+    }
     RaiseAlert("signature", detail, verdict.matched_sids);
   }
   if (verdict.ShouldBlock()) {

@@ -35,10 +35,10 @@ void PacketPool::PublishOccupancy() const {
 
 PacketPtr PacketPool::Acquire(Bytes data) {
   if (!enabled_ || free_.empty()) {
-    GlobalFastPath().pool_fresh.Inc();
+    obs::M().fastpath_pool_fresh->Inc();
     return Wrap(std::make_unique<Packet>(std::move(data)));
   }
-  GlobalFastPath().pool_reused.Inc();
+  obs::M().fastpath_pool_reused->Inc();
   std::unique_ptr<Packet> pkt = std::move(free_.back());
   free_.pop_back();
   PublishOccupancy();
@@ -49,10 +49,10 @@ PacketPtr PacketPool::Acquire(Bytes data) {
 
 PacketPtr PacketPool::Clone(const Packet& src) {
   if (!enabled_ || free_.empty()) {
-    GlobalFastPath().pool_fresh.Inc();
+    obs::M().fastpath_pool_fresh->Inc();
     return Wrap(std::make_unique<Packet>(src));
   }
-  GlobalFastPath().pool_reused.Inc();
+  obs::M().fastpath_pool_reused->Inc();
   std::unique_ptr<Packet> pkt = std::move(free_.back());
   free_.pop_back();
   PublishOccupancy();

@@ -9,6 +9,10 @@ Metrics& M() {
   static Metrics m = [] {
     MetricsRegistry& r = MetricsRegistry::Global();
     Metrics out;
+    out.fastpath_parse_full = r.GetCounter("fastpath.parse_full");
+    out.fastpath_parse_cached = r.GetCounter("fastpath.parse_cached");
+    out.fastpath_pool_fresh = r.GetCounter("fastpath.pool_fresh");
+    out.fastpath_pool_reused = r.GetCounter("fastpath.pool_reused");
     out.net_pool_free = r.GetGauge("net.pool_free");
     out.net_pool_foreign_release = r.GetCounter("net.pool_foreign_release");
     out.net_pool_exhausted = r.GetCounter("net.pool_exhausted");
@@ -20,6 +24,13 @@ Metrics& M() {
     out.dp_chain_ns = r.GetHistogram("dp.chain_ns");
     out.dp_boot_queue = r.GetGauge("dp.boot_queue");
     out.sig_scan_ns = r.GetHistogram("sig.scan_ns");
+    out.sig_compiles = r.GetCounter("sig.compiles");
+    out.sig_cache_hits = r.GetCounter("sig.cache_hits");
+    out.sig_cache_misses = r.GetCounter("sig.cache_misses");
+    out.sig_cache_expired = r.GetCounter("sig.cache_expired");
+    out.sig_evaluations = r.GetCounter("sig.evaluations");
+    out.sig_scan_bytes = r.GetCounter("sig.scan_bytes");
+    out.sig_matches = r.GetCounter("sig.matches");
     out.ctl_policy_transitions = r.GetCounter("ctl.policy_transitions");
     out.ctl_heartbeats = r.GetCounter("ctl.heartbeats");
     out.ctl_heartbeat_misses = r.GetCounter("ctl.heartbeat_misses");

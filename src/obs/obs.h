@@ -18,6 +18,14 @@
 namespace iotsec::obs {
 
 struct Metrics {
+  // ---- fastpath: parse-once header caching and pooled packet allocation
+  // (DESIGN.md §3 "fast path"). The per-switch microflow-cache counters
+  // live on the cache itself (sdn::MicroflowCache::Stats).
+  Counter* fastpath_parse_full;    // computed from raw bytes
+  Counter* fastpath_parse_cached;  // served from the cached view
+  Counter* fastpath_pool_fresh;    // packets heap-allocated
+  Counter* fastpath_pool_reused;   // recycled from a free list
+
   // ---- net: packet allocation.
   Gauge* net_pool_free;            // PacketPool free-list occupancy
   Counter* net_pool_foreign_release;  // releases landing on a thread that
@@ -36,8 +44,18 @@ struct Metrics {
   Histogram* dp_chain_ns;          // per-µmbox-chain processing latency
   Gauge* dp_boot_queue;            // packets parked in boot queues
 
-  // ---- sig: detection engine.
+  // ---- sig: detection engine (DESIGN.md "DPI engine"). The compile
+  // counters are the compile-once-deploy-everywhere proof: M µmboxes
+  // loading the same SKU ruleset show M-1 cache hits and one compile.
   Histogram* sig_scan_ns;          // CompiledRuleset::Evaluate latency
+  Counter* sig_compiles;           // rulesets compiled (DFA built)
+  Counter* sig_cache_hits;         // served by the shared cache
+  Counter* sig_cache_misses;       // had to compile (incl. expired)
+  Counter* sig_cache_expired;      // found but fully released
+  Counter* sig_evaluations;        // Evaluate calls
+  Counter* sig_scan_bytes;         // payload bytes through the DFA
+  Counter* sig_matches;            // evaluations with >=1 rule hit (the
+                                   // rollout health gate's baseline signal)
 
   // ---- control: the controller's reaction loop.
   Counter* ctl_policy_transitions; // posture changes applied

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/stats.h"
 #include "control/admission.h"
 #include "obs/obs.h"
 
@@ -192,7 +191,7 @@ void RolloutCoordinator::SnapshotGateBaselines(const std::string& sku,
                                                SkuRollout& r) {
   SumSignals(sku, r, &r.cohort_alerts_base, &r.control_alerts_base,
              &r.cohort_crashes_base);
-  r.sig_matches_base = GlobalSig().matches.Value();
+  r.sig_matches_base = obs::M().sig_matches->Value();
 }
 
 void RolloutCoordinator::SumSignals(const std::string& sku,
@@ -237,7 +236,7 @@ void RolloutCoordinator::EvaluateGate(const std::string& sku,
   stats_.last_control_alerts = control_alerts;
   stats_.last_cohort_crashes = cohort_crashes;
   stats_.last_sig_matches_delta =
-      GlobalSig().matches.Value() - r.sig_matches_base;
+      obs::M().sig_matches->Value() - r.sig_matches_base;
 
   const std::uint64_t n_cohort = r.cohort.size();
   std::uint64_t n_sku = 0;

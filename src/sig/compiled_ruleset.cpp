@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/stats.h"
 #include "obs/obs.h"
 
 namespace iotsec::sig {
@@ -35,12 +34,12 @@ CompiledRuleset::CompiledRuleset(std::vector<Rule> rules)
   }
   automaton.Build();
   dfa_ = DenseDfa::Compile(automaton);
-  GlobalSig().compiles.Inc();
+  obs::M().sig_compiles->Inc();
 }
 
 RuleVerdict CompiledRuleset::Evaluate(const proto::ParsedFrame& frame,
                                       EvalScratch& scratch) const {
-  GlobalSig().evaluations.Inc();
+  obs::M().sig_evaluations->Inc();
   OBS_SPAN(obs::M().sig_scan_ns);
   // Rebind on the compile's unique id — never its address, which the
   // allocator may hand to a successor compile. The size checks are a
@@ -66,7 +65,7 @@ RuleVerdict CompiledRuleset::Evaluate(const proto::ParsedFrame& frame,
   scratch.candidates.clear();
 
   if (!pattern_rule_.empty() && !frame.payload.empty()) {
-    GlobalSig().scan_bytes.Inc(frame.payload.size());
+    obs::M().sig_scan_bytes->Inc(frame.payload.size());
     dfa_.MarkMatchesEpoch(
         frame.payload, scratch.pattern_epoch, epoch, [&](std::int32_t pid) {
           const std::uint32_t ri = pattern_rule_[static_cast<std::size_t>(pid)];
@@ -108,7 +107,7 @@ RuleVerdict CompiledRuleset::Evaluate(const proto::ParsedFrame& frame,
   } else {
     verdict.action = RuleAction::kAlert;
   }
-  if (verdict.Matched()) GlobalSig().matches.Inc();
+  if (verdict.Matched()) obs::M().sig_matches->Inc();
   return verdict;
 }
 
@@ -153,7 +152,7 @@ std::shared_ptr<const CompiledRuleset> CompiledRulesetCache::GetOrCompile(
   for (auto it = bucket.begin(); it != bucket.end();) {
     if (auto live = it->value.lock()) {
       if (it->key == key) {
-        GlobalSig().cache_hits.Inc();
+        obs::M().sig_cache_hits->Inc();
         return live;
       }
       ++it;
@@ -162,8 +161,8 @@ std::shared_ptr<const CompiledRuleset> CompiledRulesetCache::GetOrCompile(
       it = bucket.erase(it);  // all users released this compile
     }
   }
-  GlobalSig().cache_misses.Inc();
-  if (expired_here) GlobalSig().cache_expired.Inc();
+  obs::M().sig_cache_misses->Inc();
+  if (expired_here) obs::M().sig_cache_expired->Inc();
   auto compiled = std::make_shared<const CompiledRuleset>(rules);
   bucket.push_back(Entry{std::move(key), compiled});
   return compiled;

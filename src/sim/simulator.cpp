@@ -2,70 +2,39 @@
 
 namespace iotsec::sim {
 
-void EventHandle::Cancel() {
-  if (!state_ || state_->cancelled || state_->fired) return;
-  state_->cancelled = true;
-  if (state_->cancelled_count) {
-    state_->cancelled_count->fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-bool EventHandle::Pending() const {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
-EventHandle Simulator::At(SimTime when, Callback fn) {
+void Simulator::At(SimTime when, Callback fn) {
   if (when < now_) when = now_;
-  auto state = std::make_shared<EventHandle::State>();
-  state->cancelled_count = cancelled_unpopped_;
-  queue_.push(Event{when, seq_++, std::move(fn), state});
-  return EventHandle(std::move(state));
+  queue_.push(Event{when, seq_++, std::move(fn)});
 }
 
 EventHandle Simulator::Every(SimDuration period, Callback fn) {
-  auto state = std::make_shared<EventHandle::State>();
-  state->recurring = true;
-  state->cancelled_count = cancelled_unpopped_;
-  // The repeating closure reschedules itself unless the shared handle
-  // state says it was cancelled. The simulator owns the closure; the
-  // closure captures only a weak reference to itself, so no refcount
-  // cycle keeps it alive past the simulator's lifetime. Each queued tick
-  // carries `state`, so cancelling the ticker excludes the already-queued
-  // next tick from PendingEvents() like any other cancelled event.
-  auto tick = std::make_shared<Callback>();
-  recurring_.push_back(tick);
-  *tick = [this, period, fn = std::move(fn), state,
-           weak = std::weak_ptr<Callback>(tick)]() {
-    fn();
-    if (state->cancelled) {
-      // Cancelled from inside fn(): the bump in Cancel() assumed a queued
-      // corpse, but this tick was already popped and none will follow.
-      state->cancelled_count->fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    if (stopped_) return;
-    if (auto self = weak.lock()) {
-      queue_.push(Event{now_ + period, seq_++, *self, state});
-    }
-  };
-  queue_.push(Event{now_ + period, seq_++, *tick, state});
-  return EventHandle(std::move(state));
+  auto cancelled = std::make_shared<bool>(false);
+  QueueTick(now_ + period,
+            std::make_shared<Tick>(Tick{period, cancelled, std::move(fn)}));
+  return EventHandle(std::move(cancelled));
 }
 
-bool Simulator::PopAndFire() {
+// Each queued tick owns the ticker and re-queues it after fn() returns, so
+// a tick's (time, seq) is drawn after everything fn() scheduled.
+void Simulator::QueueTick(SimTime when, std::shared_ptr<Tick> tick) {
+  Callback fire = [this, tick = std::move(tick)] {
+    if (*tick->cancelled) {
+      --processed_;  // dropped, not fired
+      return;
+    }
+    tick->fn();
+    if (*tick->cancelled || stopped_) return;
+    QueueTick(now_ + tick->period, tick);
+  };
+  queue_.push(Event{when, seq_++, std::move(fire)});
+}
+
+void Simulator::PopAndFire() {
   Event ev = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   now_ = ev.when;
-  if (ev.state) {
-    if (ev.state->cancelled) {
-      cancelled_unpopped_->fetch_sub(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (!ev.state->recurring) ev.state->fired = true;
-  }
-  ev.fn();
   ++processed_;
-  return true;
+  ev.fn();
 }
 
 void Simulator::Run() {

@@ -6,7 +6,6 @@
 // deterministic for a fixed seed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,34 +16,29 @@
 
 namespace iotsec::sim {
 
-/// Handle for a scheduled event; lets the owner cancel it before it fires.
+/// Handle for an Every() ticker; lets the owner stop it. One-shot events
+/// (At/After) cannot be cancelled and carry no handle.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Cancels the event if it has not fired yet. Safe to call repeatedly.
-  void Cancel();
+  /// Stops the ticker: its next queued tick is dropped. Safe to call
+  /// repeatedly, from inside the tick's own callback, and after the
+  /// simulator is gone.
+  void Cancel() {
+    if (cancelled_) *cancelled_ = true;
+  }
 
-  /// True if the event is still scheduled (not fired, not cancelled).
-  [[nodiscard]] bool Pending() const;
+  /// True if the ticker has not been cancelled.
+  [[nodiscard]] bool Pending() const { return cancelled_ && !*cancelled_; }
 
  private:
   friend class Simulator;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-    /// Every() ticker: pops never set `fired` (the handle stays
-    /// cancellable across ticks) and Cancel() accounts for the one
-    /// queued next-tick event.
-    bool recurring = false;
-    // Owning simulator's count of cancelled-but-unpopped events; bumped
-    // exactly once per Cancel() so PendingEvents() can subtract the
-    // corpses still sitting in the priority queue. Shared (not a raw
-    // Simulator*) so a handle outliving its simulator stays harmless.
-    std::shared_ptr<std::atomic<std::uint64_t>> cancelled_count;
-  };
-  explicit EventHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
+  explicit EventHandle(std::shared_ptr<bool> cancelled)
+      : cancelled_(std::move(cancelled)) {}
+  // Shared with the queued tick. The tick owns the callback; this flag is
+  // all the two share, so a callback holding its own handle is no cycle.
+  std::shared_ptr<bool> cancelled_;
 };
 
 class Simulator {
@@ -55,11 +49,11 @@ class Simulator {
   [[nodiscard]] SimTime Now() const { return now_; }
 
   /// Schedules `fn` at absolute time `when` (clamped to Now()).
-  EventHandle At(SimTime when, Callback fn);
+  void At(SimTime when, Callback fn);
 
   /// Schedules `fn` `delay` after Now().
-  EventHandle After(SimDuration delay, Callback fn) {
-    return At(now_ + delay, std::move(fn));
+  void After(SimDuration delay, Callback fn) {
+    At(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` every `period`, starting one period from now, until the
@@ -79,6 +73,7 @@ class Simulator {
   /// Stops the run loop after the current event returns.
   void Stop() { stopped_ = true; }
 
+  /// Events fired so far; a cancelled ticker's dropped tick is not one.
   [[nodiscard]] std::uint64_t EventsProcessed() const { return processed_; }
 
   /// Timestamp of the earliest queued event, or SimTime max when the queue
@@ -87,21 +82,11 @@ class Simulator {
     return queue_.empty() ? ~SimTime{0} : queue_.top().when;
   }
 
-  /// Live count of events that will still fire: cancelled events stay in
-  /// the priority queue until popped, but are excluded here, so
-  /// admission/backpressure logic reading this sees the real backlog.
-  [[nodiscard]] std::size_t PendingEvents() const {
-    return queue_.size() -
-           static_cast<std::size_t>(
-               cancelled_unpopped_->load(std::memory_order_relaxed));
-  }
-
  private:
   struct Event {
     SimTime when;
     std::uint64_t seq;
     Callback fn;
-    std::shared_ptr<EventHandle::State> state;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -109,18 +94,16 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+  struct Tick {
+    SimDuration period;
+    std::shared_ptr<bool> cancelled;
+    Callback fn;
+  };
 
-  bool PopAndFire();
+  void QueueTick(SimTime when, std::shared_ptr<Tick> tick);
+  void PopAndFire();
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Recurring closures from Every() are owned here; the queued events hold
-  // only a weak reference, so the closure/self cycle cannot leak.
-  std::vector<std::shared_ptr<Callback>> recurring_;
-  // Cancelled events the queue still holds (see PendingEvents()). Shared
-  // with every EventHandle::State so Cancel() can bump it even though
-  // handles carry no simulator pointer.
-  std::shared_ptr<std::atomic<std::uint64_t>> cancelled_unpopped_ =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;

@@ -199,11 +199,11 @@ struct Explorer {
     std::size_t depth = 0;
   };
 
-  std::vector<Node> nodes;
+  std::vector<Node> nodes{};
   std::size_t transitions = 0;
   bool exhausted = false;
   /// First node (BFS order ⇒ minimal depth) where each goal holds.
-  std::map<std::string, int> goal_node;
+  std::map<std::string, int> goal_node{};
 
   std::string DeviceName(DeviceId id) const {
     const auto it = in.device_names.find(id);

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.h"
 #include "core/iotsec.h"
 #include "obs/obs.h"
 
@@ -232,16 +231,21 @@ TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
   }
 }
 
-TEST(ObsRegistryTest, StatsCompatAdapterPublishesIntoRegistry) {
-  // The legacy common/stats.h counters are now views onto the registry:
-  // bumping GlobalFastPath() must be visible under its registry name.
+// The fast-path and DPI counters keep their registry names in both exports.
+TEST(ObsRegistryTest, FastPathAndDpiMetricsExportUnderStableNames) {
+  obs::M();  // registers the handle bundle
   auto& reg = obs::MetricsRegistry::Global();
-  GlobalFastPath();  // construct the adapter so the names are registered
-  const std::uint64_t before =
-      reg.Snapshot().counters.at("fastpath.parse_full");
-  GlobalFastPath().parse_full.Inc(4);
-  EXPECT_EQ(reg.Snapshot().counters.at("fastpath.parse_full"), before + 4);
-  EXPECT_EQ(GlobalFastPath().parse_full.Value(), before + 4);
+  const std::string json = reg.ToJson();
+  const std::string prom = reg.ToPrometheusText();
+  for (const char* name : {"fastpath.parse_full", "sig.compiles"}) {
+    EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
+        << name;
+  }
+  for (const char* name : {"fastpath_parse_full", "sig_compiles"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE ") + name + " counter"),
+              std::string::npos)
+        << name;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Tests for the sharded execution engine: SPSC mailboxes, the ShardSet
-// lockstep scheduler, the PendingEvents live count, shard-bound packet
-// pools, and microflow-cache generation wraparound.
+// lockstep scheduler, Every() ticker handles, shard-bound packet pools,
+// and microflow-cache generation wraparound.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,51 +22,74 @@ namespace iotsec {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Simulator::PendingEvents vs cancelled-but-unpopped corpses.
-
-TEST(SimulatorPendingTest, CancelDecrementsLiveCount) {
-  sim::Simulator s;
-  auto h1 = s.At(100, [] {});
-  auto h2 = s.At(200, [] {});
-  s.At(300, [] {});
-  EXPECT_EQ(s.PendingEvents(), 3u);
-
-  h1.Cancel();
-  EXPECT_EQ(s.PendingEvents(), 2u);
-  // Cancel is idempotent: a second call must not double-count.
-  h1.Cancel();
-  EXPECT_EQ(s.PendingEvents(), 2u);
-
-  h2.Cancel();
-  EXPECT_EQ(s.PendingEvents(), 1u);
-
-  // Popping the corpses restores the invariant queue.size == live count.
-  s.RunUntil(1000);
-  EXPECT_EQ(s.PendingEvents(), 0u);
-}
-
-TEST(SimulatorPendingTest, RecurringTickNotMiscounted) {
-  sim::Simulator s;
-  int fires = 0;
-  auto every = s.Every(10, [&] { ++fires; });
-  s.RunUntil(35);
-  EXPECT_EQ(fires, 3);
-  EXPECT_EQ(s.PendingEvents(), 1u);  // the next tick
-  every.Cancel();
-  EXPECT_EQ(s.PendingEvents(), 0u);
-  s.RunUntil(100);
-  EXPECT_EQ(fires, 3);
-  EXPECT_EQ(s.PendingEvents(), 0u);
-}
+// Simulator::Every tickers: the only cancellable events.
 
 TEST(SimulatorPendingTest, HandleOutlivesSimulator) {
   sim::EventHandle h;
   {
     sim::Simulator s;
-    h = s.At(50, [] {});
+    h = s.Every(50, [] {});
+    EXPECT_TRUE(h.Pending());
   }
   h.Cancel();  // must not touch freed simulator state
   EXPECT_FALSE(h.Pending());
+}
+
+TEST(SimulatorTickerTest, CancelFromOwnCallbackStopsTicker) {
+  sim::Simulator s;
+  int fires = 0;
+  sim::EventHandle h;
+  h = s.Every(10, [&] {
+    if (++fires == 2) h.Cancel();
+  });
+  s.RunUntil(100);
+  EXPECT_EQ(fires, 2);
+  EXPECT_FALSE(h.Pending());
+  EXPECT_EQ(s.NextEventTime(), ~SimTime{0});  // no tick left queued
+  EXPECT_EQ(s.EventsProcessed(), 2u);
+}
+
+TEST(SimulatorTickerTest, CallbackHoldingOwnHandleIsFreed) {
+  // The callback keeps its own handle alive; the handle shares only the
+  // cancelled flag with the tick, so neither case leaks the closure.
+  auto self = std::make_shared<sim::EventHandle>();
+  std::weak_ptr<sim::EventHandle> watch = self;
+  sim::Simulator s;
+  *self = s.Every(10, [self] { self->Cancel(); });
+  self.reset();
+  EXPECT_FALSE(watch.expired());
+  s.RunUntil(10);  // cancelled inside its own tick: dropped, not re-queued
+  EXPECT_TRUE(watch.expired());
+
+  auto kept = std::make_shared<sim::EventHandle>();
+  watch = kept;
+  {
+    sim::Simulator other;
+    *kept = other.Every(10, [kept] {});
+    kept.reset();
+    other.RunUntil(35);
+    EXPECT_FALSE(watch.expired());  // still ticking
+  }
+  EXPECT_TRUE(watch.expired());  // freed with the simulator's queue
+}
+
+TEST(SimulatorTickerTest, TicksAndOneShotsAtSameInstantKeepOrder) {
+  // A tick is queued when Every() is called and re-queued after its
+  // callback returns, so it draws its insertion sequence after whatever
+  // the callback scheduled.
+  sim::Simulator s;
+  std::vector<std::string> order;
+  s.Every(10, [&] {
+    order.push_back("tick@" + std::to_string(s.Now()));
+    if (s.Now() == 10) {
+      s.At(20, [&] { order.push_back("inner@20"); });
+    }
+  });
+  s.At(10, [&] { order.push_back("a@10"); });
+  s.At(20, [&] { order.push_back("b@20"); });
+  s.RunUntil(20);
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@10", "a@10", "b@20",
+                                             "inner@20", "tick@20"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 // the cache so µmbox loads are hits.
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
 #include "learn/crowd.h"
 #include "net/address.h"
+#include "obs/obs.h"
 #include "proto/frame.h"
 #include "proto/transport.h"
 #include "sig/compiled_ruleset.h"
@@ -23,7 +23,13 @@ class SigCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     CompiledRulesetCache::Instance().Clear();
-    GlobalSig().Reset();
+    const obs::Metrics& m = obs::M();
+    for (obs::Counter* c :
+         {m.sig_compiles, m.sig_cache_hits, m.sig_cache_misses,
+          m.sig_cache_expired, m.sig_evaluations, m.sig_scan_bytes,
+          m.sig_matches}) {
+      c->Reset();
+    }
   }
 };
 
@@ -56,9 +62,9 @@ TEST_F(SigCacheTest, IdenticalRuleListsShareOneCompile) {
     rs.Reset(BuiltinRules());
     rs.EnsureCompiled();
   }
-  EXPECT_EQ(GlobalSig().compiles.Value(), 1u);
-  EXPECT_EQ(GlobalSig().cache_misses.Value(), 1u);
-  EXPECT_EQ(GlobalSig().cache_hits.Value(), kUmboxes - 1);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
+  EXPECT_EQ(obs::M().sig_cache_misses->Value(), 1u);
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), kUmboxes - 1);
   for (std::size_t i = 1; i < kUmboxes; ++i) {
     EXPECT_EQ(fleet[i].compiled().get(), fleet[0].compiled().get());
   }
@@ -69,8 +75,8 @@ TEST_F(SigCacheTest, DifferingRuleListsDoNotShare) {
   RuleSet b(SomeRules("beta"));
   a.EnsureCompiled();
   b.EnsureCompiled();
-  EXPECT_EQ(GlobalSig().compiles.Value(), 2u);
-  EXPECT_EQ(GlobalSig().cache_hits.Value(), 0u);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 0u);
   EXPECT_NE(a.compiled().get(), b.compiled().get());
   EXPECT_EQ(CompiledRulesetCache::Instance().LiveEntryCount(), 2u);
 }
@@ -103,9 +109,9 @@ TEST_F(SigCacheTest, ExpiredEntriesRecompile) {
   // Last user gone: the weak entry is dead and a fresh request recompiles.
   RuleSet again(SomeRules("gone"));
   again.EnsureCompiled();
-  EXPECT_EQ(GlobalSig().compiles.Value(), 2u);
-  EXPECT_EQ(GlobalSig().cache_expired.Value(), 1u);
-  EXPECT_EQ(GlobalSig().cache_hits.Value(), 0u);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
+  EXPECT_EQ(obs::M().sig_cache_expired->Value(), 1u);
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 0u);
 }
 
 TEST_F(SigCacheTest, DeferredAndBatchedAddCompileOnce) {
@@ -118,19 +124,19 @@ TEST_F(SigCacheTest, DeferredAndBatchedAddCompileOnce) {
   RuleSet rs;
   for (const auto& rule : rules) rs.Add(rule);  // three single Adds
   EXPECT_TRUE(rs.CompilePending());
-  EXPECT_EQ(GlobalSig().compiles.Value(), 0u);  // nothing compiled yet
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 0u);  // nothing compiled yet
 
   const Bytes wire = TcpPayloadFrame("one and two and three");
   EXPECT_EQ(rs.Evaluate(MustParse(wire)).matched_sids.size(), 3u);
-  EXPECT_EQ(GlobalSig().compiles.Value(), 1u);  // one compile for the batch
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);  // one compile for the batch
 
   RuleSet batched;
   batched.Add(rules);  // vector overload
   batched.EnsureCompiled();
   EXPECT_EQ(batched.RuleCount(), 3u);
   // Same rule list -> served from cache, still one compile total.
-  EXPECT_EQ(GlobalSig().compiles.Value(), 1u);
-  EXPECT_EQ(GlobalSig().cache_hits.Value(), 1u);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 1u);
 }
 
 TEST_F(SigCacheTest, ScratchRebindsWhenAllocatorReusesCompileAddress) {
@@ -211,7 +217,7 @@ TEST_F(SigCacheTest, CrowdAcceptPrewarmsTheCache) {
   ASSERT_EQ(repo.stats().accepted, 1u);
 
   // Acceptance compiled the SKU ruleset once (the pre-warm)...
-  EXPECT_EQ(GlobalSig().compiles.Value(), 1u);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
 
   // ...so every µmbox that now loads the same accepted ruleset is a hit.
   const auto accepted = repo.AcceptedFor("cam-sku");
@@ -222,8 +228,8 @@ TEST_F(SigCacheTest, CrowdAcceptPrewarmsTheCache) {
   RuleSet umbox_b(pushed);
   umbox_a.EnsureCompiled();
   umbox_b.EnsureCompiled();
-  EXPECT_EQ(GlobalSig().compiles.Value(), 1u);
-  EXPECT_EQ(GlobalSig().cache_hits.Value(), 2u);  // both µmbox loads hit
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 2u);  // both µmbox loads hit
   EXPECT_EQ(umbox_a.compiled().get(), umbox_b.compiled().get());
   EXPECT_EQ(umbox_a.compiled().get(), repo.CompiledFor("cam-sku").get());
 }

@@ -59,8 +59,9 @@ struct Testbed {
 
 double RecallAt(bool guided, bool models, int rounds, std::uint64_t seed) {
   Testbed bed;
-  learn::InteractionFuzzer fuzzer(bed.sim, *bed.env, bed.fleet,
-                                  learn::ModelLibrary::Builtin(), bed.world);
+  learn::InteractionFuzzer fuzzer(
+      bed.sim, [&](SimDuration d) { bed.sim.RunFor(d); }, *bed.env,
+      bed.fleet, learn::ModelLibrary::Builtin(), bed.world);
   learn::FuzzConfig config;
   config.rounds = rounds;
   config.settle_seconds = 150;

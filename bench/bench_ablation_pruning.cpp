@@ -28,13 +28,16 @@ struct Workload {
       for (int d = 0; d < 4; ++d) {
         const auto id = static_cast<DeviceId>(h * 16 + d);
         devices.push_back(id);
-        const std::string name =
-            "h" + std::to_string(h) + "d" + std::to_string(d);
+        std::string name = "h";
+        name += std::to_string(h);
+        name += 'd';
+        name += std::to_string(d);
         space.AddDimension({"ctx:" + name,
                             policy::DimensionKind::kDeviceContext, id,
                             policy::DefaultSecurityContexts()});
         policy::PolicyRule rule;
-        rule.name = "r" + std::to_string(id);
+        rule.name = "r";
+        rule.name += std::to_string(id);
         rule.when.And("ctx:" + name, "suspicious").And(smoke, "on");
         rule.device = id;
         rule.posture = core::QuarantinePosture();

@@ -97,8 +97,9 @@ int main() {
   learn::WorldModel world;
   world.actuates = {{"wemo-insight", "oven_power"}, {"hue", "bulb_on"}};
   world.senses = {{"nest-protect", "smoke"}, {"scout-lux", "illuminance"}};
-  learn::InteractionFuzzer fuzzer(sim, *env, fleet,
-                                  learn::ModelLibrary::Builtin(), world);
+  learn::InteractionFuzzer fuzzer(
+      sim, [&](SimDuration d) { sim.RunFor(d); }, *env, fleet,
+      learn::ModelLibrary::Builtin(), world);
   learn::FuzzConfig config;
   config.rounds = 40;
   config.settle_seconds = 150;

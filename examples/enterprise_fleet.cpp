@@ -65,7 +65,8 @@ int main() {
 
   // ---- Step 1: sweep.
   dep.Start();
-  scan::VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+  scan::VulnerabilityScanner scanner(
+      dep.sim(), [&](SimDuration d) { dep.RunFor(d); }, dep.attacker());
   const auto report = scanner.Sweep(scan::TargetsOf(dep.registry()));
   std::map<devices::Vulnerability, int> by_class;
   for (const auto& finding : report.findings) {

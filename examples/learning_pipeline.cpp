@@ -57,8 +57,9 @@ int main() {
   world.actuates = {{"wemo", "oven_power"}, {"hue", "bulb_on"},
                     {"window", "window_open"}};
   world.senses = {{"lux", "illuminance"}, {"protect", "smoke"}};
-  learn::InteractionFuzzer fuzzer(sim, *env, fleet,
-                                  learn::ModelLibrary::Builtin(), world);
+  learn::InteractionFuzzer fuzzer(
+      sim, [&](SimDuration d) { sim.RunFor(d); }, *env, fleet,
+      learn::ModelLibrary::Builtin(), world);
   learn::FuzzConfig config;
   config.rounds = 60;
   config.settle_seconds = 150;

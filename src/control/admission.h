@@ -17,12 +17,12 @@
 //   normal → defer → shed → fail-closed-lite
 //
 // Determinism contract: every input is a *barrier snapshot* — sampled by
-// the deployment at quantum barriers (sharded) or on a fixed ticker
-// (unsharded) — and every signal is shard-placement-invariant (sums over
-// the whole cluster / all pools, never per-shard residue). Arithmetic is
-// integer permille. A fixed seed therefore yields a bit-identical
-// shed/defer decision trace at any shard count; DecisionDigest() folds
-// the full trace for the bench's hard cross-shard gate.
+// the deployment at quantum barriers — and every signal is
+// shard-placement-invariant (sums over the whole cluster / all pools,
+// never per-shard residue). Arithmetic is integer permille. A fixed seed
+// therefore yields a bit-identical shed/defer decision trace at any shard
+// count; DecisionDigest() folds the full trace for the bench's hard
+// cross-shard gate.
 #pragma once
 
 #include <cstdint>

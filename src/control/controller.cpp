@@ -467,15 +467,12 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   }
 
   if (md.umbox) {
-    // Existing instance: hot reconfigure (or cold restart for ablation).
     dataplane::Umbox* box = cluster_->Find(*md.umbox);
     if (box != nullptr &&
         box->state() != dataplane::UmboxState::kCrashed) {
       std::string error;
       const std::string config = EffectiveConfig(md, posture.umbox_config);
-      const bool ok = config_.hot_reconfig ? box->Reconfigure(config, &error)
-                                           : box->Restart(config, &error);
-      if (!ok) {
+      if (!box->Reconfigure(config, &error)) {
         IOTSEC_LOG_ERROR("reconfig failed for %s: %s",
                          md.device->spec().name.c_str(), error.c_str());
         return;
@@ -483,9 +480,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
       ++stats_.umbox_reconfigs;
       audit_.Record(sim_.Now(), AuditCategory::kUmbox,
                     md.device->spec().name,
-                    std::string(config_.hot_reconfig ? "hot reconfig"
-                                                     : "restart") +
-                        " of umbox " + std::to_string(*md.umbox));
+                    "hot reconfig of umbox " + std::to_string(*md.umbox));
       md.posture = posture;
       return;
     }

@@ -46,8 +46,6 @@ struct ControllerConfig {
   dataplane::BootModel umbox_boot = dataplane::BootModel::kMicroVm;
   /// Alerts before a "suspicious" device is considered "compromised".
   int compromise_threshold = 3;
-  /// Prefer hot reconfiguration over restart on posture changes.
-  bool hot_reconfig = true;
   /// When a posture cannot be enforced (cluster full, launch failure):
   /// true = install drop rules for the device (fail closed);
   /// false = leave plain L2 forwarding in place (fail open).

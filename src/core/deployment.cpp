@@ -1,24 +1,14 @@
 #include "core/deployment.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace iotsec::core {
 
-namespace {
-
-// Builds the execution engine before sim_ binds to it. Returns the legacy
-// simulator (sharding off) or null (the ShardSet owns the simulators).
-std::unique_ptr<sim::Simulator> MakeLegacySim(const DeploymentOptions& opt) {
-  return opt.shards >= 1 ? nullptr : std::make_unique<sim::Simulator>();
-}
-
-}  // namespace
-
 Deployment::Deployment(DeploymentOptions options)
     : options_(std::move(options)),
-      own_sim_(MakeLegacySim(options_)),
-      shard_set_([this]() -> std::unique_ptr<sim::ShardSet> {
-        if (own_sim_ != nullptr) return nullptr;
+      shard_set_([this] {
+        options_.shards = std::max(options_.shards, 1);
         // One packet pool per shard, bound to the shard's thread so the
         // free list is never touched concurrently.
         for (int s = 0; s < options_.shards; ++s) {
@@ -36,7 +26,8 @@ Deployment::Deployment(DeploymentOptions options)
         };
         return std::make_unique<sim::ShardSet>(std::move(so));
       }()),
-      sim_(own_sim_ != nullptr ? *own_sim_ : shard_set_->sim(0)) {
+      sim_(shard_set_->sim(0)),
+      shard_env_writes_(static_cast<std::size_t>(options_.shards)) {
   env_ = env::MakeSmartHomeEnvironment();
   env_->AttachTo(sim_, options_.env_tick);
 
@@ -155,7 +146,7 @@ Deployment::Deployment(DeploymentOptions options)
 Deployment::~Deployment() {
   // The ShardSet constructor bound the caller thread to shard 0's pool;
   // that pool dies with this deployment, so restore the global binding.
-  if (shard_set_ != nullptr) net::PacketPool::BindToThisThread(nullptr);
+  net::PacketPool::BindToThisThread(nullptr);
 }
 
 net::Link* Deployment::NewLink(const net::LinkConfig* config) {
@@ -167,31 +158,27 @@ net::Link* Deployment::NewLink(const net::LinkConfig* config) {
 }
 
 env::Environment* Deployment::EnvFor(DeviceId id) {
-  if (shard_set_ == nullptr) return env_.get();
   auto it = env_replicas_.find(id);
   if (it == env_replicas_.end()) {
-    auto replica = std::make_unique<EnvReplica>();
-    replica->env = env_->Replicate();
-    auto* writes = &replica->writes;
-    replica->env->SetWriteCapture(
+    auto replica = env_->Replicate();
+    auto* writes = &shard_env_writes_[static_cast<std::size_t>(
+        sdn::ShardOfDevice(id, options_.shards))];
+    replica->SetWriteCapture(
         [writes](const std::string& name, double value, SimTime now) {
           writes->push_back(EnvWrite{now, name, value});
         });
     it = env_replicas_.emplace(id, std::move(replica)).first;
   }
-  return it->second->env.get();
+  return it->second.get();
 }
 
 void Deployment::BarrierSync(SimTime now) {
   // 1. Apply the quantum's captured device writes to the owner in one
   //    canonical order — (time, variable, value) is a function of the
   //    simulation, not of shard placement or thread timing.
-  pending_env_writes_.clear();
-  for (auto& [id, replica] : env_replicas_) {
-    for (EnvWrite& w : replica->writes) {
-      pending_env_writes_.push_back(std::move(w));
-    }
-    replica->writes.clear();
+  for (std::vector<EnvWrite>& writes : shard_env_writes_) {
+    for (EnvWrite& w : writes) pending_env_writes_.push_back(std::move(w));
+    writes.clear();
   }
   if (!pending_env_writes_.empty()) {
     std::sort(pending_env_writes_.begin(), pending_env_writes_.end(),
@@ -205,18 +192,9 @@ void Deployment::BarrierSync(SimTime now) {
     }
     pending_env_writes_.clear();
   }
-  // 2. Fan the owner's state back out (device-id order ⇒ deterministic
-  //    replica-listener firing order) — but only when something changed.
-  if (env_->version() != synced_env_version_) {
-    synced_env_version_ = env_->version();
-    for (auto& [id, replica] : env_replicas_) {
-      replica->env->SyncFrom(*env_, now);
-    }
-  }
-  // 3. Snapshot network totals while every link counter is quiescent.
-  stats_snapshot_ = AggregateLinkStats();
-  link_count_snapshot_ = links_.size();
-  // 4. Feed the admission controller. Barrier times are quantum
+  // 2. Fan the owner's state back out.
+  FanOutEnvironment(now);
+  // 3. Feed the admission controller. Barrier times are quantum
   //    multiples — identical for every shard count — so sampling here
   //    keeps the decision trace placement-invariant.
   if (admission_ != nullptr && now >= next_admission_sample_) {
@@ -225,20 +203,22 @@ void Deployment::BarrierSync(SimTime now) {
   }
 }
 
+void Deployment::FanOutEnvironment(SimTime now) {
+  if (env_->version() == synced_env_version_) return;
+  synced_env_version_ = env_->version();
+  // Device-id order ⇒ deterministic replica-listener firing order.
+  for (auto& [id, replica] : env_replicas_) replica->SyncFrom(*env_, now);
+}
+
 control::AdmissionSignals Deployment::CollectAdmissionSignals() const {
   control::AdmissionSignals sig;
   for (const auto& host : hosts_) {
     host->AccumulateBootQueue(sig.boot_queue_depth,
                               sig.boot_queue_worst_permille);
   }
-  if (shard_pools_.empty()) {
-    sig.pool_live = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, net::PacketPool::Global().Live()));
-  } else {
-    std::int64_t live = 0;
-    for (const auto& pool : shard_pools_) live += pool->Live();
-    sig.pool_live = static_cast<std::size_t>(std::max<std::int64_t>(0, live));
-  }
+  std::int64_t live = 0;
+  for (const auto& pool : shard_pools_) live += pool->Live();
+  sig.pool_live = static_cast<std::size_t>(std::max<std::int64_t>(0, live));
   sig.cluster_load = cluster_.TotalLoad();
   sig.cluster_capacity = cluster_.TotalCapacity();
   sig.recovering = controller_->RecoveringCount();
@@ -250,10 +230,9 @@ void Deployment::SampleAdmission(SimTime now) {
 }
 
 void Deployment::RunFor(SimDuration d) {
-  if (shard_set_ == nullptr) {
-    sim_.RunFor(d);
-    return;
-  }
+  // Owner writes made since the last barrier (by the caller, between
+  // runs) reach the replicas now, not at the first non-idle barrier.
+  FanOutEnvironment(Now());
   shard_set_->RunFor(d, [this](SimTime now) { BarrierSync(now); });
 }
 
@@ -268,11 +247,7 @@ fault::FaultInjector& Deployment::chaos() {
 }
 
 Deployment::NetworkTotals Deployment::AggregateLinkStats() const {
-  if (shard_set_ != nullptr && shard_set_->running()) {
-    // Mid-quantum the counters belong to concurrently executing shards;
-    // the last barrier's snapshot is the newest consistent view.
-    return stats_snapshot_;
-  }
+  assert(!shard_set_->running());
   NetworkTotals totals;
   for (const auto& link : links_) {
     for (int dir = 0; dir < 2; ++dir) {
@@ -310,15 +285,13 @@ devices::Device* Deployment::Attach(std::unique_ptr<devices::Device> device) {
   net::Link* link = NewLink();
   ptr->ConnectUplink(link, 0);
   const int port = switch_->AttachLink(link, 1);
-  if (shard_set_ != nullptr) {
-    // Device end (0) lives on the device's home shard, switch end (1) on
-    // shard 0. Bound regardless of where the hash lands the device — the
-    // bound path's behaviour is placement-independent, which is what
-    // makes a 1-shard run the reference for an N-shard run.
-    link->BindShards(shard_set_.get(),
-                     sdn::ShardOfDevice(ptr->id(), options_.shards),
-                     /*end1_shard=*/0);
-  }
+  // Device end (0) lives on the device's home shard, switch end (1) on
+  // shard 0. Bound regardless of where the hash lands the device — the
+  // bound path's behaviour is placement-independent, which is what makes
+  // a 1-shard run the reference for an N-shard run.
+  link->BindShards(shard_set_.get(),
+                   sdn::ShardOfDevice(ptr->id(), options_.shards),
+                   /*end1_shard=*/0);
   switch_->SetMacPort(ptr->spec().mac, port);
   controller_->RegisterDevice(ptr, switch_.get(), port);
   return ptr;
@@ -477,12 +450,10 @@ void Deployment::Start() {
   }
   registry_.StartAll();
   if (options_.with_iotsec) controller_->Start();
-  // Unsharded engine has no barriers; a plain ticker gives the same
-  // sample times (quanta divide sample_period in every configuration we
-  // ship, so sharded barriers land on these instants too).
-  if (admission_ != nullptr && shard_set_ == nullptr) {
-    sim_.Every(options_.admission.sample_period,
-               [this] { SampleAdmission(sim_.Now()); });
+  // Admission samples at barriers (BarrierSync). Idle quanta are
+  // skipped, so this no-op ticker puts a barrier on every sample instant.
+  if (admission_ != nullptr) {
+    sim_.Every(options_.admission.sample_period, [] {});
   }
 }
 

@@ -15,6 +15,7 @@
 //   dep.RunFor(5 * kSecond);
 #pragma once
 
+#include <cassert>
 #include <map>
 #include <memory>
 #include <optional>
@@ -51,8 +52,8 @@ struct DeploymentOptions {
   /// no admission controller at all — byte-identical behaviour to every
   /// release before it existed. kMonitor samples and levels without
   /// acting; kEnforce sheds launches, defers restarts and backpressures
-  /// ingress. Signals are sampled at quantum barriers when sharded, on a
-  /// sample_period ticker otherwise.
+  /// ingress. Signals are sampled at the first quantum barrier at or
+  /// after every sample_period instant.
   control::AdmissionConfig admission;
   /// Hierarchical controller federation (see control/federation.h).
   /// Disabled (default) keeps the flat controller byte-identical to every
@@ -79,16 +80,15 @@ struct DeploymentOptions {
   SimDuration env_tick = 500 * kMillisecond;
   /// Seed for the deployment's FaultInjector (see chaos()).
   std::uint64_t chaos_seed = 0xC4A05;
-  /// 0 (default): the legacy single-threaded engine — one Simulator, no
-  /// barriers, byte-identical to every release before sharding existed.
-  /// >= 1: the sharded engine — devices are homed on
-  /// ShardOfDevice(id, shards) worker shards running in lockstep quanta
-  /// (see sim::ShardSet); infrastructure (switch, controller, cluster,
-  /// attacker, environment owner) stays on shard 0. A 1-shard run is the
-  /// determinism reference an N-shard run must digest-match.
-  int shards = 0;
-  /// Sharded mode: execute shards 1..N-1 on worker threads (true) or all
-  /// inline on the caller (false — identical results, easier debugging).
+  /// Worker shards of the deployment's sim::ShardSet. Devices are homed
+  /// on ShardOfDevice(id, shards) and run in lockstep quanta of one link
+  /// latency; infrastructure (switch, controller, cluster, attacker,
+  /// environment owner) stays on shard 0. The default single shard is the
+  /// determinism reference an N-shard run must digest-match. Values below
+  /// 1 mean 1.
+  int shards = 1;
+  /// Execute shards 1..N-1 on worker threads (true) or all inline on the
+  /// caller (false — identical results, easier debugging).
   bool shard_threads = true;
 };
 
@@ -101,17 +101,14 @@ class Deployment {
   Deployment& operator=(const Deployment&) = delete;
 
   // ---- Accessors.
-  /// Shard 0's simulator in sharded mode (infrastructure clock); THE
-  /// simulator otherwise. Prefer RunFor()/Now() — in sharded mode,
-  /// advancing this directly moves only shard 0.
+  /// Shard 0's simulator: the infrastructure clock, for scheduling
+  /// control-plane and attacker events. Advance the deployment with
+  /// RunFor() only — running this simulator directly moves shard 0 alone
+  /// and skips every barrier.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
-  /// Non-null iff options().shards >= 1.
-  [[nodiscard]] sim::ShardSet* shard_set() { return shard_set_.get(); }
-  /// Simulator owning device `id`'s events (== sim() when unsharded).
+  /// Simulator owning device `id`'s events.
   [[nodiscard]] sim::Simulator& SimFor(DeviceId id) {
-    return shard_set_ == nullptr
-               ? sim_
-               : shard_set_->sim(sdn::ShardOfDevice(id, options_.shards));
+    return shard_set_->sim(sdn::ShardOfDevice(id, options_.shards));
   }
   [[nodiscard]] env::Environment& environment() { return *env_; }
   [[nodiscard]] devices::DeviceRegistry& registry() { return registry_; }
@@ -188,13 +185,11 @@ class Deployment {
 
   /// Boots devices (and the controller when IoTSec is on).
   void Start();
-  /// Advances the deployment: the single event loop when unsharded, the
-  /// lockstep quantum schedule (with barrier-phase environment sync and
-  /// stats snapshots) when sharded.
+  /// Advances every shard in lockstep quanta, syncing the environment
+  /// and sampling admission at the barriers. Environment writes made
+  /// between runs reach device replicas before the run starts.
   void RunFor(SimDuration d);
-  [[nodiscard]] SimTime Now() const {
-    return shard_set_ == nullptr ? sim_.Now() : shard_set_->Now();
-  }
+  [[nodiscard]] SimTime Now() const { return shard_set_->Now(); }
 
   /// Convenience lookups for tests/benches.
   [[nodiscard]] devices::Device* Find(const std::string& name) const {
@@ -209,28 +204,27 @@ class Deployment {
     std::uint64_t queue_drops = 0;
     std::uint64_t lost = 0;  // random / flap-induced loss
   };
-  /// Safe at any time: while shards are running this returns the snapshot
-  /// taken at the last quantum barrier (exact as of that barrier — link
-  /// counters are owned by worker shards mid-quantum); otherwise it is
-  /// computed live.
+  /// Call between runs: mid-quantum the link counters belong to the
+  /// shards executing concurrently.
   [[nodiscard]] NetworkTotals AggregateLinkStats() const;
   [[nodiscard]] std::size_t LinkCount() const {
-    if (shard_set_ != nullptr && shard_set_->running()) {
-      return link_count_snapshot_;
-    }
+    assert(!shard_set_->running());
     return links_.size();
   }
 
  private:
   /// null config: the deployment-wide options_.link.
   net::Link* NewLink(const net::LinkConfig* config = nullptr);
-  /// The environment a device reads/writes: its private replica when
-  /// sharded (created here on first use), the shared owner otherwise.
+  /// The environment a device reads/writes: its private replica, created
+  /// here on first use.
   env::Environment* EnvFor(DeviceId id);
   /// Barrier-phase work: apply captured device environment writes to the
   /// owner in canonical order, fan the owner's state back out to every
-  /// replica, snapshot link stats, feed the admission controller.
+  /// replica, feed the admission controller.
   void BarrierSync(SimTime now);
+  /// Copies the owner's state into every replica if it changed since the
+  /// last fan-out.
+  void FanOutEnvironment(SimTime now);
   /// One shard-placement-invariant admission snapshot: boot queues and
   /// cluster load live on shard 0, and pool_live sums Live() over every
   /// pool — total in-flight packets at a barrier is a function of the
@@ -240,32 +234,26 @@ class Deployment {
   void SampleAdmission(SimTime now);
 
   DeploymentOptions options_;
-  // Engine: exactly one of own_sim_ (legacy) / shard_set_ (sharded) is
-  // live; sim_ aliases the legacy simulator or the set's shard 0. Declared
-  // before every member that captures sim_ at construction.
-  std::unique_ptr<sim::Simulator> own_sim_;
+  // Engine: sim_ aliases the set's shard 0. Declared before every member
+  // that captures sim_ at construction.
   std::vector<std::unique_ptr<net::PacketPool>> shard_pools_;
   std::unique_ptr<sim::ShardSet> shard_set_;
   sim::Simulator& sim_;
   std::unique_ptr<env::Environment> env_;
-  // Sharded mode: per-device environment replicas. A replica's write
-  // buffer is touched mid-quantum only by its device's shard worker;
-  // the barrier phase (single-threaded, after workers park) drains all
-  // of them into pending_env_writes_ for one canonical sorted apply.
+  // Per-device environment replicas. Writes to a replica are captured
+  // into its device's shard buffer, touched mid-quantum only by that
+  // shard's worker; the barrier phase (single-threaded, after workers
+  // park) drains every shard buffer into pending_env_writes_ for one
+  // canonical sorted apply.
   struct EnvWrite {
     SimTime at = 0;
     std::string name;
     double value = 0.0;
   };
-  struct EnvReplica {
-    std::unique_ptr<env::Environment> env;
-    std::vector<EnvWrite> writes;
-  };
-  std::map<DeviceId, std::unique_ptr<EnvReplica>> env_replicas_;
+  std::map<DeviceId, std::unique_ptr<env::Environment>> env_replicas_;
+  std::vector<std::vector<EnvWrite>> shard_env_writes_;  // [shard]
   std::vector<EnvWrite> pending_env_writes_;
   std::uint64_t synced_env_version_ = 0;
-  NetworkTotals stats_snapshot_;
-  std::size_t link_count_snapshot_ = 0;
   devices::DeviceRegistry registry_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::unique_ptr<sdn::Switch> switch_;

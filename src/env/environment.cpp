@@ -40,8 +40,8 @@ void Environment::Define(VarDef def) {
   Var var;
   var.value = def.initial;
   var.level = LevelFor(def, def.initial);
-  var.def = std::move(def);
-  vars_[var.def.name] = std::move(var);
+  var.def = std::make_shared<const VarDef>(std::move(def));
+  vars_[var.def->name] = std::move(var);
 }
 
 bool Environment::Has(const std::string& name) const {
@@ -66,16 +66,16 @@ int Environment::Level(const std::string& name) const {
 
 const std::string& Environment::LevelName(const std::string& name) const {
   const Var& var = Get(name);
-  return var.def.level_names[static_cast<std::size_t>(var.level)];
+  return var.def->level_names[static_cast<std::size_t>(var.level)];
 }
 
 int Environment::LevelCount(const std::string& name) const {
-  return static_cast<int>(Get(name).def.level_names.size());
+  return static_cast<int>(Get(name).def->level_names.size());
 }
 
 const std::vector<std::string>& Environment::LevelNames(
     const std::string& name) const {
-  return Get(name).def.level_names;
+  return Get(name).def->level_names;
 }
 
 int Environment::LevelFor(const VarDef& def, double value) {
@@ -94,7 +94,7 @@ void Environment::SetValue(const std::string& name, double value,
     throw std::out_of_range("undefined environment variable: " + name);
   }
   if (write_capture_) {
-    // Replica in a sharded deployment: the write belongs to the owner
+    // Replica in a deployment: the write belongs to the owner
     // environment and is applied there at the next quantum barrier.
     write_capture_(name, value, now);
     return;
@@ -103,7 +103,7 @@ void Environment::SetValue(const std::string& name, double value,
   Var& var = it->second;
   var.value = value;
   ++version_;
-  const int new_level = LevelFor(var.def, value);
+  const int new_level = LevelFor(*var.def, value);
   if (new_level == var.level) return;
   const LevelChange change{name, var.level, new_level, now};
   var.level = new_level;
@@ -140,7 +140,7 @@ void Environment::Step(SimTime now, double dt_seconds) {
 
 void Environment::ResetToInitial(SimTime now) {
   for (auto& [name, var] : vars_) {
-    SetValue(name, var.def.initial, now);
+    SetValue(name, var.def->initial, now);
   }
 }
 
@@ -166,7 +166,7 @@ std::vector<std::string> Environment::VariableNames() const {
 
 std::unique_ptr<Environment> Environment::Replicate() const {
   auto replica = std::make_unique<Environment>();
-  replica->vars_ = vars_;  // defs + current values/levels
+  replica->vars_ = vars_;  // shared defs + current values/levels
   replica->now_ = now_;
   return replica;
 }

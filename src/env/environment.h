@@ -134,12 +134,12 @@ class Environment {
 
   [[nodiscard]] std::vector<std::string> VariableNames() const;
 
-  // ---- Sharded-deployment replication -----------------------------------
+  // ---- Deployment replication ---------------------------------------------
   //
   // The physical world is shared state: every device reads it, several
   // write it, and dynamics advance it — all of which would race across
-  // shard workers. Sharded deployments therefore keep ONE owner
-  // environment (dynamics, shard 0) plus a replica per device. Replicas
+  // shard workers. Deployments therefore keep ONE owner environment
+  // (dynamics, shard 0) plus a replica per device. Replicas
   // never step dynamics; their writes are captured (SetWriteCapture) and
   // routed to the owner, which applies them at the quantum barrier in a
   // canonical order; the owner's state is then copied back into each
@@ -147,8 +147,8 @@ class Environment {
   // Devices see the world one quantum late — a fixed lag that is the same
   // at every shard count, so runs still digest-match.
 
-  /// A detached copy of the variable set and current values — no
-  /// dynamics, no listeners, no capture hook.
+  /// A detached copy of the current values — no dynamics, no listeners,
+  /// no capture hook; the variable definitions are shared, not copied.
   [[nodiscard]] std::unique_ptr<Environment> Replicate() const;
 
   using WriteCapture =
@@ -167,7 +167,8 @@ class Environment {
 
  private:
   struct Var {
-    VarDef def;
+    // Immutable once defined, so replicas share it with their owner.
+    std::shared_ptr<const VarDef> def;
     double value = 0.0;
     int level = 0;
   };

@@ -66,8 +66,6 @@ class CrowdRepo {
   struct Config {
     /// Weighted vote mass needed to accept/reject a pending signature.
     double quorum = 3.0;
-    /// Reject ingest of rules with no narrowing predicate at all.
-    bool reject_overbroad = true;
   };
 
   CrowdRepo() = default;

@@ -17,11 +17,13 @@ std::vector<proto::IotCommand> AllCommands() {
 }  // namespace
 
 InteractionFuzzer::InteractionFuzzer(sim::Simulator& simulator,
+                                     sim::RunFn run,
                                      env::Environment& environment,
                                      std::vector<devices::Device*> devices,
                                      ModelLibrary library,
                                      WorldModel world)
     : sim_(simulator),
+      run_(std::move(run)),
       env_(environment),
       devices_(std::move(devices)),
       library_(std::move(library)),
@@ -84,7 +86,7 @@ void InteractionFuzzer::ResetWorld() {
     d->Actuate(IotCommand::kLock);
   }
   env_.ResetToInitial(sim_.Now());
-  sim_.RunFor(kSecond);
+  run_(kSecond);
 }
 
 FuzzReport InteractionFuzzer::Run(const FuzzConfig& config) {
@@ -130,11 +132,11 @@ FuzzReport InteractionFuzzer::Run(const FuzzConfig& config) {
     Probe& probe = probes[pick];
     ++probe.tried;
 
-    if (config.reset_between_rounds) ResetWorld();
+    ResetWorld();  // clean attribution: every round starts quiescent
     const Snapshot before = Capture();
     probe.device->Actuate(probe.cmd);
     ++report.commands_issued;
-    sim_.RunFor(static_cast<SimDuration>(config.settle_seconds * kSecond));
+    run_(static_cast<SimDuration>(config.settle_seconds * kSecond));
     const Snapshot after = Capture();
 
     const std::string& actor = probe.device->spec().name;

@@ -41,8 +41,6 @@ struct FuzzConfig {
   /// Restrict the command alphabet to the class's abstract model;
   /// without models the fuzzer tries every command on every device.
   bool use_models = true;
-  /// Reset devices + environment between rounds (clean attribution).
-  bool reset_between_rounds = true;
 };
 
 /// "actor device name" -> observed entity ("env:temperature" or
@@ -61,9 +59,11 @@ struct FuzzReport {
 
 class InteractionFuzzer {
  public:
-  /// `library` is copied so callers may pass a temporary
-  /// (e.g. ModelLibrary::Builtin()).
-  InteractionFuzzer(sim::Simulator& simulator, env::Environment& environment,
+  /// `simulator` is the testbed clock and `run` advances it (a
+  /// deployment passes its own RunFor). `library` is copied so callers
+  /// may pass a temporary (e.g. ModelLibrary::Builtin()).
+  InteractionFuzzer(sim::Simulator& simulator, sim::RunFn run,
+                    env::Environment& environment,
                     std::vector<devices::Device*> devices,
                     ModelLibrary library, WorldModel world);
 
@@ -83,6 +83,7 @@ class InteractionFuzzer {
   void ResetWorld();
 
   sim::Simulator& sim_;
+  sim::RunFn run_;
   env::Environment& env_;
   std::vector<devices::Device*> devices_;
   ModelLibrary library_;

@@ -22,13 +22,18 @@ std::set<devices::Vulnerability> ScanReport::For(DeviceId device) const {
 }
 
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
+                                           sim::RunFn run,
                                            devices::Attacker& probe)
-    : sim_(simulator), probe_(probe) {}
+    : sim_(simulator), run_(std::move(run)), probe_(probe) {}
 
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
+                                           sim::RunFn run,
                                            devices::Attacker& probe,
                                            Config config)
-    : sim_(simulator), probe_(probe), config_(std::move(config)) {}
+    : sim_(simulator),
+      run_(std::move(run)),
+      probe_(probe),
+      config_(std::move(config)) {}
 
 void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
                                        ScanReport& report) {
@@ -133,7 +138,7 @@ ScanReport VulnerabilityScanner::Sweep(
   const SimDuration horizon =
       config_.probe_interval * static_cast<SimDuration>(targets.size() + 1) +
       config_.drain;
-  sim_.RunFor(horizon);
+  run_(horizon);
 
   // Open resolvers are attributed by the source address of the DNS
   // answers the probe node collected during the sweep.

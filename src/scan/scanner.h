@@ -56,19 +56,22 @@ class VulnerabilityScanner {
         {"admin", "1234"}};
   };
 
-  /// `attacker` provides the network vantage point; the scanner drives it.
-  VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe);
-  VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
-                       Config config);
+  /// `probe` provides the network vantage point; the scanner drives it,
+  /// scheduling probes on its simulator and advancing time with `run`.
+  VulnerabilityScanner(sim::Simulator& simulator, sim::RunFn run,
+                       devices::Attacker& probe);
+  VulnerabilityScanner(sim::Simulator& simulator, sim::RunFn run,
+                       devices::Attacker& probe, Config config);
 
-  /// Sweeps the targets synchronously (runs the simulator). The returned
-  /// report is complete when the call returns.
+  /// Sweeps the targets synchronously (advances time through `run`). The
+  /// returned report is complete when the call returns.
   ScanReport Sweep(const std::vector<ScanTarget>& targets);
 
  private:
   void ProbeTarget(const ScanTarget& target, ScanReport& report);
 
   sim::Simulator& sim_;
+  sim::RunFn run_;
   devices::Attacker& probe_;
   Config config_;
 };

@@ -16,6 +16,11 @@
 
 namespace iotsec::sim {
 
+/// Advances a simulation by a duration: Simulator::RunFor for a plain
+/// rig, core::Deployment::RunFor (every shard, through its barriers) for
+/// a deployment. Components that drive time themselves take one.
+using RunFn = std::function<void(SimDuration)>;
+
 /// Handle for an Every() ticker; lets the owner stop it. One-shot events
 /// (At/After) cannot be cancelled and carry no handle.
 class EventHandle {

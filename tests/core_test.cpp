@@ -2,6 +2,8 @@
 // state-space construction.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/iotsec.h"
 
 namespace iotsec::core {
@@ -130,6 +132,30 @@ TEST(DeploymentTest, MultipleClusterHostsBalanceUmboxes) {
   // Least-loaded placement splits 3/3.
   EXPECT_EQ(dep.cluster().hosts()[0]->load(), 3);
   EXPECT_EQ(dep.cluster().hosts()[1]->load(), 3);
+}
+
+// A write to the owner environment between runs must reach the device
+// replicas when the next run starts — before the run's first event, not
+// at some later barrier — whatever the shard count.
+TEST(DeploymentTest, EnvironmentWriteBetweenRunsReachesDevices) {
+  DeploymentOptions opts;
+  opts.shards = 2;
+  Deployment dep(opts);
+  auto* cam = dep.AddCamera("cam");
+  dep.Start();
+  dep.RunFor(kSecond);
+  ASSERT_EQ(cam->State(), "idle");
+
+  for (const bool on : {true, false}) {
+    const std::string want = on ? "person_detected" : "idle";
+    dep.environment().SetBool("occupancy", on);
+    std::string seen;
+    dep.SimFor(cam->id()).At(dep.Now() + kMicrosecond,
+                             [&] { seen = cam->State(); });
+    dep.RunFor(kMillisecond);
+    EXPECT_EQ(seen, want) << "first event of the run saw a stale replica";
+    EXPECT_EQ(cam->State(), want);
+  }
 }
 
 }  // namespace

@@ -295,8 +295,9 @@ TEST(FuzzerTest, DiscoversImplicitCouplings) {
   rig.world.actuates = {{"wemo", "oven_power"}, {"hue", "bulb_on"}};
   rig.world.senses = {{"lux", "illuminance"}, {"protect", "smoke"}};
 
-  InteractionFuzzer fuzzer(rig.sim, *rig.env, rig.fleet, rig.library,
-                           rig.world);
+  InteractionFuzzer fuzzer(
+      rig.sim, [&](SimDuration d) { rig.sim.RunFor(d); }, *rig.env,
+      rig.fleet, rig.library, rig.world);
   const auto truth = fuzzer.ComputeGroundTruth();
   // The light chain and the heat chain must both be in the ground truth.
   EXPECT_TRUE(truth.count({"hue", "env:illuminance"}));
@@ -328,8 +329,9 @@ TEST(FuzzerTest, DeterministicForSeed) {
     rig.Add<devices::LightSensor>("lux", devices::DeviceClass::kLightSensor);
     rig.world.actuates = {{"hue", "bulb_on"}};
     rig.world.senses = {{"lux", "illuminance"}};
-    InteractionFuzzer fuzzer(rig.sim, *rig.env, rig.fleet, rig.library,
-                             rig.world);
+    InteractionFuzzer fuzzer(
+        rig.sim, [&](SimDuration d) { rig.sim.RunFor(d); }, *rig.env,
+        rig.fleet, rig.library, rig.world);
     FuzzConfig config;
     config.rounds = 10;
     config.seed = 42;

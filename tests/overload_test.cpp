@@ -152,7 +152,9 @@ TEST(OverloadTest, DecisionTraceBitIdenticalAcrossShardCounts) {
 }
 
 TEST(OverloadTest, ShedLaunchQuarantinesThenRetriesWhenPressureDrops) {
-  core::DeploymentOptions opts;  // unsharded: Global() pool is the signal
+  // One shard: the test thread allocates from shard 0's pool, which the
+  // admission signal sums.
+  core::DeploymentOptions opts;
   opts.controller.fail_closed = true;
   opts.admission.mode = control::AdmissionMode::kEnforce;
   opts.admission.pool_capacity = 200;

@@ -50,8 +50,9 @@ TEST(PartitionPipelineTest, DiscoveredCouplingsDrivePartitioning) {
   learn::WorldModel world;
   world.actuates = {{"hue", "bulb_on"}, {"wemo", "oven_power"}};
   world.senses = {{"lux", "illuminance"}, {"protect", "smoke"}};
-  learn::InteractionFuzzer fuzzer(sim, *env, fleet,
-                                  learn::ModelLibrary::Builtin(), world);
+  learn::InteractionFuzzer fuzzer(
+      sim, [&](SimDuration d) { sim.RunFor(d); }, *env, fleet,
+      learn::ModelLibrary::Builtin(), world);
   learn::FuzzConfig config;
   config.rounds = 30;
   config.settle_seconds = 150;
@@ -141,8 +142,9 @@ TEST(FullLoopTest, FuzzGraphSynthesizeEnforce) {
   world.actuates = {{"wemo", "oven_power"}};
   world.senses = {{"protect", "smoke"}};
   std::vector<devices::Device*> fleet = dep.registry().All();
-  learn::InteractionFuzzer fuzzer(dep.sim(), dep.environment(), fleet,
-                                  learn::ModelLibrary::Builtin(), world);
+  learn::InteractionFuzzer fuzzer(
+      dep.sim(), [&](SimDuration d) { dep.RunFor(d); }, dep.environment(),
+      fleet, learn::ModelLibrary::Builtin(), world);
   learn::FuzzConfig config;
   config.rounds = 20;
   config.settle_seconds = 150;

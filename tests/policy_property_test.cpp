@@ -18,7 +18,8 @@ struct RandomSpace {
     const std::size_t n_dims = 1 + rng.NextBelow(max_dims);
     for (std::size_t d = 0; d < n_dims; ++d) {
       Dimension dim;
-      dim.name = "d" + std::to_string(d);
+      dim.name = "d";
+      dim.name += std::to_string(d);
       dim.kind = DimensionKind::kEnvVar;
       const std::size_t n_values = 2 + rng.NextBelow(max_values - 1);
       for (std::size_t v = 0; v < n_values; ++v) {
@@ -122,10 +123,12 @@ TEST_P(PredicatePropertyTest, DistinctPosturesMatchEnumeration) {
     const int n_rules = 1 + static_cast<int>(rng.NextBelow(4));
     for (int r = 0; r < n_rules; ++r) {
       PolicyRule rule;
-      rule.name = "r" + std::to_string(r);
+      rule.name = "r";
+      rule.name += std::to_string(r);
       rule.when = rs.RandomPredicate(rng);
       rule.device = device;
-      rule.posture.profile = "p" + std::to_string(r);
+      rule.posture.profile = "p";
+      rule.posture.profile += std::to_string(r);
       rule.priority = static_cast<int>(rng.NextBelow(3));
       policy.Add(std::move(rule));
     }

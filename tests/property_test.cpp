@@ -227,7 +227,8 @@ TEST_P(HttpPropertyTest, RandomRequestsRoundTrip) {
   for (int round = 0; round < 50; ++round) {
     proto::HttpRequest req;
     req.method = methods[rng.NextBelow(methods.size())];
-    req.path = "/" + token(12);
+    req.path = "/";
+    req.path += token(12);
     const auto n_headers = rng.NextBelow(5);
     for (std::size_t h = 0; h < n_headers; ++h) {
       req.SetHeader("X-" + token(8), token(16));

@@ -1,8 +1,13 @@
 // Tests for the vulnerability scanner.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "core/iotsec.h"
 #include "scan/scanner.h"
+#include "sdn/shard_map.h"
 
 namespace iotsec::scan {
 namespace {
@@ -37,7 +42,9 @@ TEST(ScannerTest, FindsEachFlawClassExactly) {
       stb_spec, world.dep.sim(), &world.dep.environment()));
   world.dep.Start();
 
-  VulnerabilityScanner scanner(world.dep.sim(), world.dep.attacker());
+  VulnerabilityScanner scanner(
+      world.dep.sim(), [&](SimDuration d) { world.dep.RunFor(d); },
+      world.dep.attacker());
   const auto report = scanner.Sweep(TargetsOf(world.dep.registry()));
 
   EXPECT_EQ(report.targets_probed, 5u);
@@ -67,7 +74,9 @@ TEST(ScannerTest, ExposedAccessSubsumesDefaultPassword) {
       spec, world.dep.sim(), &world.dep.environment()));
   world.dep.Start();
 
-  VulnerabilityScanner scanner(world.dep.sim(), world.dep.attacker());
+  VulnerabilityScanner scanner(
+      world.dep.sim(), [&](SimDuration d) { world.dep.RunFor(d); },
+      world.dep.attacker());
   const auto report = scanner.Sweep(TargetsOf(world.dep.registry()));
   EXPECT_TRUE(report.Has(fridge->id(), Vulnerability::kExposedAccess));
   EXPECT_FALSE(report.Has(fridge->id(), Vulnerability::kDefaultPassword));
@@ -78,7 +87,9 @@ TEST(ScannerTest, NonDefaultCredentialNotFlagged) {
   ScanWorld world;
   auto* cam = world.dep.AddCamera("cam", {}, "Xk99!long-random");
   world.dep.Start();
-  VulnerabilityScanner scanner(world.dep.sim(), world.dep.attacker());
+  VulnerabilityScanner scanner(
+      world.dep.sim(), [&](SimDuration d) { world.dep.RunFor(d); },
+      world.dep.attacker());
   const auto report = scanner.Sweep(TargetsOf(world.dep.registry()));
   EXPECT_TRUE(report.For(cam->id()).empty());
 }
@@ -95,7 +106,8 @@ TEST(ScannerTest, FeedsControllerContexts) {
   dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
   dep.Start();
 
-  VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+  VulnerabilityScanner scanner(
+      dep.sim(), [&](SimDuration d) { dep.RunFor(d); }, dep.attacker());
   const auto report = scanner.Sweep(TargetsOf(dep.registry()));
   ASSERT_TRUE(report.Has(wemo->id(), devices::Vulnerability::kBackdoor));
   for (const auto& finding : report.findings) {
@@ -105,6 +117,42 @@ TEST(ScannerTest, FeedsControllerContexts) {
   }
   EXPECT_EQ(dep.controller().view().DeviceContext("wemo").value(),
             "unpatched");
+}
+
+// The sweep advances time through Deployment::RunFor, so devices homed
+// on every shard answer — a 2-shard deployment reports exactly what the
+// 1-shard reference does.
+TEST(ScannerTest, ShardedSweepMatchesOneShardSweep) {
+  const auto sweep = [](int shards) {
+    core::DeploymentOptions opts = ScanWorld::Options();
+    opts.shards = shards;
+    core::Deployment dep(opts);
+    dep.AddCamera("weak-cam", {Vulnerability::kDefaultPassword}, "admin");
+    dep.AddCamera("leaky-cam", {Vulnerability::kUnprotectedKeys});
+    dep.AddSmartPlug(
+        "wemo", "oven_power",
+        {Vulnerability::kBackdoor, Vulnerability::kOpenDnsResolver});
+    dep.AddLightBulb("clean-bulb");
+    dep.AddCamera("cam", {}, "Xk99!long-random");
+    int off_shard0 = 0;
+    for (const devices::Device* d : dep.registry().All()) {
+      if (sdn::ShardOfDevice(d->id(), opts.shards) != 0) ++off_shard0;
+    }
+    dep.Start();
+    VulnerabilityScanner scanner(
+        dep.sim(), [&](SimDuration d) { dep.RunFor(d); }, dep.attacker());
+    std::set<std::pair<std::string, Vulnerability>> found;
+    for (const auto& f : scanner.Sweep(TargetsOf(dep.registry())).findings) {
+      found.insert({dep.registry().ById(f.target.device)->spec().name,
+                    f.vulnerability});
+    }
+    return std::make_pair(found, off_shard0);
+  };
+  const auto one = sweep(1).first;
+  const auto [two, two_off] = sweep(2);
+  ASSERT_GT(two_off, 0) << "no device homed off shard 0";
+  EXPECT_EQ(one.size(), 4u);
+  EXPECT_EQ(two, one);
 }
 
 }  // namespace

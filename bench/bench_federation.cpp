@@ -59,7 +59,6 @@ constexpr SimDuration kStormPeriod = 2 * kSecond;   // per segment
 constexpr SimDuration kStormWindow = 2 * kMillisecond;
 constexpr SimDuration kHeartbeatPeriod = 2 * kSecond;  // per device
 constexpr SimDuration kSyncPeriod = 5 * kMillisecond;
-constexpr SimDuration kPushQuantum = 2 * kMillisecond;
 constexpr SimDuration kServiceTime = 15 * kMicrosecond;  // per event
 constexpr SimDuration kLocalRtt = 200 * kMicrosecond;
 constexpr SimDuration kGlobalRtt = 2 * kMillisecond;
@@ -197,7 +196,7 @@ ChurnResult RunFederatedChurn(int devices,
     global.AddDependency("ctx:" + std::to_string(dev),
                          (owner + 1) % segments);
   }
-  control::RulePushBatcher batcher(sim, {kPushQuantum, 64});
+  control::RulePushBatcher batcher(sim);  // control::kPushQuantum ticker
   batcher.Start();
 
   // Earliest un-synced change per key: cross-segment convergence is

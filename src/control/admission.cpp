@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "obs/obs.h"
 
 namespace iotsec::control {
@@ -14,15 +15,8 @@ constexpr std::uint64_t kFoldShedLaunch = 2;
 constexpr std::uint64_t kFoldDeferRestart = 3;
 constexpr std::uint64_t kFoldIngressDrop = 4;
 
-std::uint64_t Mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
+/// Consecutive samples above an enter threshold before the level steps up.
+constexpr int kUpHold = 1;
 
 }  // namespace
 
@@ -83,7 +77,7 @@ void AdmissionController::StepLevel(int pressure, SimTime now) {
   BrownoutLevel next = level_;
   if (desired > level_) {
     below_streak_ = 0;
-    if (++above_streak_ >= config_.up_hold) {
+    if (++above_streak_ >= kUpHold) {
       // One level per sample: a spike walks the ladder, never jumps it,
       // so transitions stay observable and recovery stays monotonic.
       next = static_cast<BrownoutLevel>(static_cast<int>(level_) + 1);

@@ -44,17 +44,19 @@ enum class BrownoutLevel : std::uint8_t {
 std::string_view BrownoutLevelName(BrownoutLevel level);
 
 enum class AdmissionMode : std::uint8_t {
-  kOff,      // no controller is created at all (legacy behaviour)
+  kOff,      // no controller is created at all (zero cost)
   kMonitor,  // sample, level, count — but never act
   kEnforce   // act on launches, restarts and ingress
 };
 
+/// Snapshot cadence. Deployments align samples to the next quantum
+/// barrier at or after each multiple of this period.
+inline constexpr SimDuration kAdmissionSamplePeriod = 10 * kMillisecond;
+/// How long a deferred recovery restart waits before re-asking.
+inline constexpr SimDuration kRestartDeferInterval = 100 * kMillisecond;
+
 struct AdmissionConfig {
   AdmissionMode mode = AdmissionMode::kOff;
-
-  /// Snapshot cadence. Sharded deployments align samples to the next
-  /// quantum barrier at or after each multiple of this period.
-  SimDuration sample_period = 10 * kMillisecond;
 
   /// Packet-pool budget (live packets across every pool). 0 = unlimited:
   /// pool pressure reads zero and exhaustion is never counted.
@@ -64,12 +66,12 @@ struct AdmissionConfig {
   // pressure is max(pool, boot-queue, cluster-load) each normalized to
   // its own capacity. Enter thresholds step the level up; a level steps
   // down only when pressure sits below (enter - exit_margin) for
-  // down_hold consecutive samples (hysteresis).
+  // down_hold consecutive samples (hysteresis); stepping up takes
+  // kUpHold (admission.cpp) consecutive samples above a threshold.
   int defer_enter_permille = 500;
   int shed_enter_permille = 750;
   int fail_closed_enter_permille = 900;
   int exit_margin_permille = 150;
-  int up_hold = 1;
   int down_hold = 3;
 
   // ---- Ingress shedding per level, permille of gated frames dropped.
@@ -77,9 +79,6 @@ struct AdmissionConfig {
   // randomness — the trace must be bit-stable).
   int shed_drop_permille = 600;
   int fail_closed_drop_permille = 875;
-
-  /// How long a deferred recovery restart waits before re-asking.
-  SimDuration restart_defer_interval = 100 * kMillisecond;
 };
 
 /// One deterministic snapshot of the signals admission keys on. Every
@@ -102,7 +101,6 @@ class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config);
 
-  [[nodiscard]] const AdmissionConfig& config() const { return config_; }
   [[nodiscard]] bool enforcing() const {
     return config_.mode == AdmissionMode::kEnforce;
   }

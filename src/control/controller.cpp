@@ -14,6 +14,17 @@
 namespace iotsec::control {
 namespace {
 
+/// Per flow-table operation latency.
+constexpr SimDuration kFlowmodLatency = 500 * kMicrosecond;
+/// Alerts before a "suspicious" device is considered "compromised".
+constexpr int kCompromiseThreshold = 3;
+/// Restart backoff: base * 2^attempt + jitter, capped.
+constexpr SimDuration kRestartBackoffBase = 50 * kMillisecond;
+constexpr SimDuration kRestartBackoffCap = 5 * kSecond;
+/// Jitter as a fraction of the computed backoff (decorrelates herds of
+/// restarts after a host failure).
+constexpr double kRestartJitter = 0.2;
+
 /// First declared element name in a Click-lite config (its entry point).
 std::string FirstElementName(const std::string& config) {
   for (const auto& raw : Split(config, '\n')) {
@@ -34,8 +45,6 @@ IoTSecController::IoTSecController(sim::Simulator& simulator,
                                    ControllerConfig config)
     : sim_(simulator),
       config_(config),
-      health_(HealthConfig{config.heartbeat_period,
-                           config.heartbeat_miss_threshold}),
       recovery_rng_(config.recovery_seed),
       control_fault_rng_(config.recovery_seed ^ 0xC7A11u) {}
 
@@ -60,16 +69,14 @@ void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
       // (and are subject to injected control-channel faults).
       DeliverControl([this, id, alert] { OnUmboxAlert(id, alert); });
     });
-    if (config_.self_healing) {
-      health_.TrackHost(host->id(), sim_.Now());
-      host->StartHeartbeats(
-          [this](ServerId server, std::vector<UmboxId> running) {
-            DeliverControl([this, server, running = std::move(running)] {
-              OnHostHeartbeat(server, running);
-            });
-          },
-          config_.heartbeat_period);
-    }
+    health_.TrackHost(host->id(), sim_.Now());
+    host->StartHeartbeats(
+        [this](ServerId server, std::vector<UmboxId> running) {
+          DeliverControl([this, server, running = std::move(running)] {
+            OnHostHeartbeat(server, running);
+          });
+        },
+        kHeartbeatPeriod);
   }
 }
 
@@ -257,9 +264,8 @@ void IoTSecController::OnCrowdSignature(const std::string& sku) {
 
 void IoTSecController::Start() {
   started_ = true;
-  if (config_.self_healing && cluster_ != nullptr &&
-      !cluster_->hosts().empty()) {
-    sim_.Every(config_.heartbeat_period, [this] { CheckHealth(); });
+  if (cluster_ != nullptr && !cluster_->hosts().empty()) {
+    sim_.Every(kHeartbeatPeriod, [this] { CheckHealth(); });
   }
   for (auto& ms : switches_) {
     // Base L2 forwarding: one low-priority entry per known MAC on each
@@ -302,7 +308,7 @@ void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
     if (ms.sw->id() != sw) continue;
     const int out = ms.sw->PortOfMac(frame->eth.dst);
     if (out >= 0) {
-      sim_.After(config_.flowmod_latency,
+      sim_.After(kFlowmodLatency,
                  [s = ms.sw, pkt = std::move(pkt), out]() mutable {
                    s->Output(std::move(pkt), out);
                  });
@@ -372,8 +378,7 @@ void IoTSecController::SetDeviceContext(const std::string& device_name,
 void IoTSecController::EscalateContext(const std::string& device_name,
                                        ManagedDevice& md) {
   const std::string next =
-      md.alert_count >= config_.compromise_threshold ? "compromised"
-                                                     : "suspicious";
+      md.alert_count >= kCompromiseThreshold ? "compromised" : "suspicious";
   const auto current = view_.DeviceContext(device_name);
   if (current && *current == "compromised") return;  // never de-escalate here
   if (current && *current == next) return;
@@ -535,9 +540,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
                     std::string(dataplane::BootModelName(spec.boot)) +
                     ") for posture " + posture.profile);
   md.umbox = spec.id;
-  if (config_.self_healing) {
-    health_.TrackUmbox(spec.id, host->id(), sim_.Now());
-  }
+  health_.TrackUmbox(spec.id, host->id(), sim_.Now());
   // Divert immediately; the µmbox queues packets while booting, so the
   // device keeps (delayed) connectivity instead of a blackhole.
   InstallDiversion(md, spec.id);
@@ -710,7 +713,7 @@ void IoTSecController::HandleUmboxFailure(UmboxId umbox, const char* cause) {
   md->failure_detected_at = sim_.Now();
   ++md->recovery_epoch;
   // Rollout health gate input: a cohort device crashing during the hold
-  // window fails the canary immediately (max_cohort_crashes default 0).
+  // window fails the canary immediately (no crash is allowed).
   if (rollout_ != nullptr) rollout_->OnDeviceCrash(md->device->id());
   audit_.Record(sim_.Now(), AuditCategory::kRecovery, md->device->spec().name,
                 "umbox " + std::to_string(umbox) + " " + cause + "; " +
@@ -754,11 +757,10 @@ void IoTSecController::ScheduleRecoveryAttempt(ManagedDevice& md) {
     return;
   }
   const int attempt = md.recovery_attempts++;
-  SimDuration backoff = config_.restart_backoff_base
-                        << std::min(attempt, 30);
-  backoff = std::min(backoff, config_.restart_backoff_cap);
+  SimDuration backoff = kRestartBackoffBase << std::min(attempt, 30);
+  backoff = std::min(backoff, kRestartBackoffCap);
   backoff += static_cast<SimDuration>(recovery_rng_.NextDouble() *
-                                      config_.restart_jitter *
+                                      kRestartJitter *
                                       static_cast<double>(backoff));
   const DeviceId device = md.device->id();
   const std::uint64_t epoch = md.recovery_epoch;
@@ -790,7 +792,7 @@ void IoTSecController::AttemptRecovery(DeviceId device,
                   "restart deferred by admission control (" +
                       std::string(BrownoutLevelName(admission_->level())) +
                       ")");
-    sim_.After(admission_->config().restart_defer_interval,
+    sim_.After(kRestartDeferInterval,
                [this, device, epoch] { AttemptRecovery(device, epoch); });
     return;
   }
@@ -917,9 +919,7 @@ void IoTSecController::FinishRecovery(DeviceId device, std::uint64_t epoch,
                  : obs::TraceEventType::kUmboxRestart,
         sim_.Now(), umbox, failover ? host : device);
   }
-  if (config_.self_healing) {
-    health_.TrackUmbox(umbox, host, sim_.Now());
-  }
+  health_.TrackUmbox(umbox, host, sim_.Now());
   // Replacement is filtering again: swap the quarantine drops back for
   // version-stamped diversion rules.
   InstallDiversion(md, umbox);

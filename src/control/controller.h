@@ -40,31 +40,15 @@ class FederatedControlPlane;
 struct ControllerConfig {
   /// Event arrival -> decision latency (RPC + processing).
   SimDuration control_latency = kMillisecond;
-  /// Per flow-table operation latency.
-  SimDuration flowmod_latency = 500 * kMicrosecond;
   /// Isolation technology for launched µmboxes.
   dataplane::BootModel umbox_boot = dataplane::BootModel::kMicroVm;
-  /// Alerts before a "suspicious" device is considered "compromised".
-  int compromise_threshold = 3;
   /// When a posture cannot be enforced (cluster full, launch failure):
   /// true = install drop rules for the device (fail closed);
   /// false = leave plain L2 forwarding in place (fail open).
   bool fail_closed = true;
 
-  // ---- Self-healing (heartbeats + automatic recovery).
-  /// Master switch for health monitoring and automatic recovery.
-  bool self_healing = true;
-  /// Host heartbeat period; the controller's health check runs at the
-  /// same cadence.
-  SimDuration heartbeat_period = 100 * kMillisecond;
-  /// Missed heartbeats before a host/µmbox is declared dead.
-  int heartbeat_miss_threshold = 3;
-  /// Restart backoff: base * 2^attempt + jitter, capped.
-  SimDuration restart_backoff_base = 50 * kMillisecond;
-  SimDuration restart_backoff_cap = 5 * kSecond;
-  /// Jitter as a fraction of the computed backoff (decorrelates herds of
-  /// restarts after a host failure).
-  double restart_jitter = 0.2;
+  // ---- Self-healing (heartbeats + automatic recovery; always on). The
+  // heartbeat cadence is kHeartbeatPeriod (control/health.h).
   /// Recovery attempts per detected failure before giving up (the device
   /// then stays in its fail-closed/fail-open fallback).
   int max_restart_attempts = 6;

@@ -27,14 +27,6 @@
 
 namespace iotsec::control {
 
-/// Order-sensitive 64-bit fold used by every federation digest (sync
-/// stream, push stream). Shared so the bench and the deployment path
-/// compute comparable digests.
-[[nodiscard]] std::uint64_t FedMix64(std::uint64_t a, std::uint64_t b);
-
-/// FNV-1a over a string, for folding keys/values into digests.
-[[nodiscard]] std::uint64_t FedHash(const std::string& s);
-
 /// One synced key-value pair. Keys use the policy dimension naming
 /// ("ctx:<device>", "dev:<device>", "env:<var>") so the dependency index
 /// can be built directly from FsmPolicy::RelevantDims.

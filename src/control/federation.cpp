@@ -8,12 +8,25 @@
 #include "sdn/switch.h"
 
 namespace iotsec::control {
+namespace {
+
+/// Delta sync epoch: each segment ships its dirty set this often (and
+/// heartbeats are aggregated into one summary per epoch).
+constexpr SimDuration kSyncPeriod = 5 * kMillisecond;
+/// Event -> segment-local decision latency. Locals sit near their
+/// devices, so this is well under the flat control_latency.
+constexpr SimDuration kLocalLatency = 200 * kMicrosecond;
+/// Global-tier notification latency (sync wakeups, env fan-out) — the
+/// cross-segment analogue of ControllerConfig::control_latency.
+constexpr SimDuration kGlobalLatency = kMillisecond;
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // RulePushBatcher
 
 void RulePushBatcher::Start() {
-  sim_.Every(cfg_.quantum, [this] { FlushAll(); });
+  sim_.Every(kPushQuantum, [this] { FlushAll(); });
 }
 
 RulePushBatcher::Buffer& RulePushBatcher::BufferFor(sdn::Switch* sw) {
@@ -35,7 +48,7 @@ void RulePushBatcher::Install(sdn::Switch* sw, const sdn::FlowEntry& entry,
   if (urgent) {
     ++stats_.urgent_flushes;
     ScheduleImmediateFlush(buf);
-  } else if (buf.ops >= cfg_.max_batch) {
+  } else if (buf.ops >= kPushMaxBatch) {
     ScheduleImmediateFlush(buf);
   }
 }
@@ -61,7 +74,7 @@ void RulePushBatcher::RemoveByCookie(sdn::Switch* sw, std::uint64_t cookie,
   if (urgent) {
     ++stats_.urgent_flushes;
     ScheduleImmediateFlush(buf);
-  } else if (buf.ops >= cfg_.max_batch) {
+  } else if (buf.ops >= kPushMaxBatch) {
     ScheduleImmediateFlush(buf);
   }
 }
@@ -127,17 +140,16 @@ void RulePushBatcher::Flush(Buffer& buffer) {
   if (mods.empty()) return;
 
   const SwitchId sw_id = buffer.sw->id();
-  digest_ = FedMix64(digest_, FedMix64(static_cast<std::uint64_t>(sw_id),
-                                       static_cast<std::uint64_t>(
-                                           sim_.Now())));
+  digest_ = Mix64(digest_,
+                  Mix64(static_cast<std::uint64_t>(sw_id), sim_.Now()));
   for (const sdn::FlowMod& mod : mods) {
     const bool install = mod.op == sdn::FlowMod::Op::kInstall;
     const std::uint64_t detail =
         install ? (static_cast<std::uint64_t>(mod.entry.priority) << 32) |
                       mod.entry.version
                 : 0;
-    digest_ = FedMix64(
-        digest_, FedMix64(install ? 1u : 2u, FedMix64(mod.cookie, detail)));
+    digest_ =
+        Mix64(digest_, Mix64(install ? 1u : 2u, Mix64(mod.cookie, detail)));
   }
   buffer.sw->ApplyFlowMods(mods);
   ++stats_.pushes;
@@ -160,9 +172,7 @@ FederatedControlPlane::FederatedControlPlane(sim::Simulator& simulator,
     : sim_(simulator),
       ctl_(ctl),
       cfg_(config),
-      batcher_(simulator,
-               RulePushBatcher::Config{config.push_quantum,
-                                       config.push_max_batch}) {}
+      batcher_(simulator) {}
 
 void FederatedControlPlane::Build() {
   const auto device_names = ctl_.DeviceNames();  // ascending id
@@ -245,7 +255,7 @@ void FederatedControlPlane::Build() {
 }
 
 void FederatedControlPlane::Start() {
-  sim_.Every(cfg_.sync_period, [this] { SyncTick(); });
+  sim_.Every(kSyncPeriod, [this] { SyncTick(); });
   batcher_.Start();
 }
 
@@ -280,18 +290,18 @@ void FederatedControlPlane::OnDeviceEvent(DeviceId device,
   if (cross_keys_.count(dim_key) != 0) {
     views_[static_cast<std::size_t>(seg)].Set(dim_key, ReadViewKey(dim_key));
   }
-  ScheduleSegmentReevaluate(seg, /*remote=*/false, cfg_.local_latency);
+  ScheduleSegmentReevaluate(seg, /*remote=*/false, kLocalLatency);
 }
 
 void FederatedControlPlane::OnGlobalEvent(const std::string& dim_key) {
   ++stats_.global_events;
-  event_digest_ = FedMix64(event_digest_, FedHash(dim_key));
+  event_digest_ = Mix64(event_digest_, Fnv1a64(kFnvOffsetBasis, dim_key));
   // Global keys fan out directly: one notify message per dependent
   // segment (there is no owning segment to absorb them).
   for (const int seg : global_.DependentsOf(dim_key, /*except=*/-1)) {
     ++stats_.context_syncs;
     if (obs::Enabled()) obs::M().ctl_msg_context_syncs->Inc();
-    ScheduleSegmentReevaluate(seg, /*remote=*/true, cfg_.global_latency);
+    ScheduleSegmentReevaluate(seg, /*remote=*/true, kGlobalLatency);
   }
 }
 
@@ -320,7 +330,7 @@ void FederatedControlPlane::SyncTick() {
   for (const int seg : wake) {
     ++stats_.context_syncs;  // one global -> segment wakeup message
     if (obs::Enabled()) obs::M().ctl_msg_context_syncs->Inc();
-    ScheduleSegmentReevaluate(seg, /*remote=*/true, cfg_.global_latency);
+    ScheduleSegmentReevaluate(seg, /*remote=*/true, kGlobalLatency);
   }
   if (heartbeats_since_sync_ > 0) {
     heartbeats_since_sync_ = 0;

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/types.h"
 #include "control/delta_sync.h"
 #include "sdn/flow_table.h"
@@ -59,24 +60,16 @@ namespace iotsec::control {
 
 class IoTSecController;
 
+/// Rule-push batching quantum: per-switch flow-mod buffers flush this
+/// often unless the size threshold or an urgent op flushes them first.
+inline constexpr SimDuration kPushQuantum = 2 * kMillisecond;
+/// Early flush when one switch's buffer reaches this many ops.
+inline constexpr std::size_t kPushMaxBatch = 64;
+
 struct FederationConfig {
   /// Off (default): the flat controller path, byte-identical to every
   /// release before federation existed.
   bool enabled = false;
-  /// Delta sync epoch: each segment ships its dirty set this often (and
-  /// heartbeats are aggregated into one summary per epoch).
-  SimDuration sync_period = 5 * kMillisecond;
-  /// Rule-push batching quantum: per-switch flow-mod buffers flush this
-  /// often unless the size threshold or an urgent op flushes them first.
-  SimDuration push_quantum = 2 * kMillisecond;
-  /// Early flush when one switch's buffer reaches this many ops.
-  std::size_t push_max_batch = 64;
-  /// Event -> segment-local decision latency. Locals sit near their
-  /// devices, so this is well under the flat control_latency.
-  SimDuration local_latency = 200 * kMicrosecond;
-  /// Global-tier notification latency (sync wakeups, env fan-out) — the
-  /// cross-segment analogue of ControllerConfig::control_latency.
-  SimDuration global_latency = kMillisecond;
   /// LocalController capacity: interaction groups larger than this are
   /// split into consecutive id-ordered chunks (0 = unlimited). Splitting
   /// an interaction-closed group is exactly what puts a device key on the
@@ -94,13 +87,7 @@ struct FederationConfig {
 /// applied via sdn::Switch::ApplyFlowMods.
 class RulePushBatcher {
  public:
-  struct Config {
-    SimDuration quantum = 2 * kMillisecond;
-    std::size_t max_batch = 64;
-  };
-
-  RulePushBatcher(sim::Simulator& simulator, Config config)
-      : sim_(simulator), cfg_(config) {}
+  explicit RulePushBatcher(sim::Simulator& simulator) : sim_(simulator) {}
 
   /// Begins the periodic flush ticker. Call once, at deployment start.
   void Start();
@@ -147,7 +134,6 @@ class RulePushBatcher {
   void ScheduleImmediateFlush(Buffer& buffer);
 
   sim::Simulator& sim_;
-  Config cfg_;
   std::map<SwitchId, Buffer> buffers_;
   Stats stats_;
   std::uint64_t digest_ = 0;
@@ -214,14 +200,14 @@ class FederatedControlPlane {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   [[nodiscard]] std::uint64_t SyncDigest() const {
-    return FedMix64(global_.SyncDigest(), event_digest_);
+    return Mix64(global_.SyncDigest(), event_digest_);
   }
   [[nodiscard]] std::uint64_t PushDigest() const {
     return batcher_.PushDigest();
   }
   /// The {1,2,8}-shard invariance gate folds both streams.
   [[nodiscard]] std::uint64_t CombinedDigest() const {
-    return FedMix64(SyncDigest(), PushDigest());
+    return Mix64(SyncDigest(), PushDigest());
   }
 
  private:

@@ -4,6 +4,12 @@
 #include <cassert>
 
 namespace iotsec::core {
+namespace {
+
+/// Environment tick (dynamics integration step).
+constexpr SimDuration kEnvTick = 500 * kMillisecond;
+
+}  // namespace
 
 Deployment::Deployment(DeploymentOptions options)
     : options_(std::move(options)),
@@ -29,7 +35,7 @@ Deployment::Deployment(DeploymentOptions options)
       sim_(shard_set_->sim(0)),
       shard_env_writes_(static_cast<std::size_t>(options_.shards)) {
   env_ = env::MakeSmartHomeEnvironment();
-  env_->AttachTo(sim_, options_.env_tick);
+  env_->AttachTo(sim_, kEnvTick);
 
   switch_ = std::make_unique<sdn::Switch>(
       /*id=*/1, sim_,
@@ -199,7 +205,7 @@ void Deployment::BarrierSync(SimTime now) {
   //    keeps the decision trace placement-invariant.
   if (admission_ != nullptr && now >= next_admission_sample_) {
     SampleAdmission(now);
-    next_admission_sample_ = now + options_.admission.sample_period;
+    next_admission_sample_ = now + control::kAdmissionSamplePeriod;
   }
 }
 
@@ -453,7 +459,7 @@ void Deployment::Start() {
   // Admission samples at barriers (BarrierSync). Idle quanta are
   // skipped, so this no-op ticker puts a barrier on every sample instant.
   if (admission_ != nullptr) {
-    sim_.Every(options_.admission.sample_period, [] {});
+    sim_.Every(control::kAdmissionSamplePeriod, [] {});
   }
 }
 

@@ -49,11 +49,11 @@ struct DeploymentOptions {
   bool wan_attacker = false;
   control::ControllerConfig controller;
   /// Overload control (see control/admission.h). kOff (default) creates
-  /// no admission controller at all — byte-identical behaviour to every
-  /// release before it existed. kMonitor samples and levels without
+  /// no admission controller at all, so it costs nothing. kMonitor (the
+  /// open-loop arm of bench_overload) samples and levels without
   /// acting; kEnforce sheds launches, defers restarts and backpressures
   /// ingress. Signals are sampled at the first quantum barrier at or
-  /// after every sample_period instant.
+  /// after every multiple of the fixed control::kAdmissionSamplePeriod.
   control::AdmissionConfig admission;
   /// Hierarchical controller federation (see control/federation.h).
   /// Disabled (default) keeps the flat controller byte-identical to every
@@ -76,8 +76,6 @@ struct DeploymentOptions {
   /// everything else. The overload bench narrows this to make the
   /// cluster — not the access links — the contended resource.
   std::optional<net::LinkConfig> cluster_link;
-  /// Environment tick (dynamics integration step).
-  SimDuration env_tick = 500 * kMillisecond;
   /// Seed for the deployment's FaultInjector (see chaos()).
   std::uint64_t chaos_seed = 0xC4A05;
   /// Worker shards of the deployment's sim::ShardSet. Devices are homed

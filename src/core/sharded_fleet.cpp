@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "obs/obs.h"
 #include "proto/frame.h"
 #include "sdn/flow_key.h"
@@ -23,25 +24,11 @@ constexpr SimDuration kFirstSendAt = 50 * kMillisecond;
 // sheds depends on same-timestamp arrival order, the one thing the
 // barrier drain does not promise across shard counts.
 constexpr std::size_t kFleetQueueLimit = std::size_t{1} << 20;
-
-std::uint64_t Fnv64(const Bytes& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t Mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
+// Gap between one device's telemetry sends.
+constexpr SimDuration kSendInterval = 10 * kMillisecond;
+// Fraction of devices that also send one frame per round to another
+// slice's aggregator (the cross-shard traffic).
+constexpr double kCrossFraction = 0.125;
 
 net::Ipv4Address IpOf(DeviceId id) {
   const auto v = static_cast<std::uint32_t>(id);
@@ -81,7 +68,7 @@ struct ShardedFleet::DigestSink final : public net::PacketSink {
   std::uint64_t count = 0;
 
   void Receive(net::PacketPtr pkt, int /*port*/) override {
-    digest += Mix64(Fnv64(pkt->data()), static_cast<std::uint64_t>(sim->Now()));
+    digest += Mix64(Fnv1a64(kFnvOffsetBasis, pkt->data()), sim->Now());
     ++count;
   }
 };
@@ -223,7 +210,7 @@ void ShardedFleet::BuildSlices() {
 void ShardedFleet::BuildDevices() {
   devices_.resize(static_cast<std::size_t>(options_.devices));
   const auto cross_threshold =
-      static_cast<std::uint64_t>(options_.cross_fraction * 1e6);
+      static_cast<std::uint64_t>(kCrossFraction * 1e6);
 
   for (int i = 0; i < options_.devices; ++i) {
     FleetDevice& dev = devices_[static_cast<std::size_t>(i)];
@@ -355,9 +342,8 @@ FleetResult ShardedFleet::Run() {
   // spread over the quanta instead of synchronizing.
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const FleetDevice& dev = devices_[i];
-    const SimDuration jitter = static_cast<SimDuration>(
-        sdn::MixDeviceId(dev.id ^ 0x7177u) %
-        static_cast<std::uint64_t>(options_.send_interval));
+    const SimDuration jitter =
+        sdn::MixDeviceId(dev.id ^ 0x7177u) % kSendInterval;
     set_->sim(ShardOfSlice(dev.slice))
         .At(kFirstSendAt + jitter, [this, i] { SendOne(i); });
   }
@@ -365,7 +351,7 @@ FleetResult ShardedFleet::Run() {
   const SimDuration horizon =
       kFirstSendAt +
       static_cast<SimDuration>(options_.packets_per_device + 1) *
-          options_.send_interval +
+          kSendInterval +
       10 * kMillisecond;
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -412,7 +398,7 @@ void ShardedFleet::SendOne(std::size_t dev_index) {
   }
 
   if (++dev.sends_done < options_.packets_per_device) {
-    slice.sim->At(slice.sim->Now() + options_.send_interval,
+    slice.sim->At(slice.sim->Now() + kSendInterval,
                   [this, dev_index] { SendOne(dev_index); });
   }
 }

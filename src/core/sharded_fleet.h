@@ -14,9 +14,10 @@
 //   * Every device gets a µmbox (VNI = device id) on its slice's host;
 //     its frames are steered there by an in_port flow entry and return
 //     through the tunnel path before normal L2 forwarding.
-//   * Telemetry goes to the slice-local collector. A cross_fraction of
-//     devices also send to another slice's aggregator over inter-switch
-//     links — that is the traffic that crosses shard mailboxes.
+//   * Telemetry goes to the slice-local collector, one frame every 10 ms.
+//     An eighth of the devices also send to another slice's aggregator
+//     over inter-switch links — that is the traffic that crosses shard
+//     mailboxes.
 //
 // Execution: slice s runs on shard (s % shards) of a sim::ShardSet. The
 // topology never changes with the shard count, only its placement — so
@@ -51,10 +52,6 @@ struct FleetOptions {
   SimDuration quantum = 100 * kMicrosecond;
   /// Telemetry sends per device.
   int packets_per_device = 4;
-  SimDuration send_interval = 10 * kMillisecond;
-  /// Fraction of devices that also send one frame per round to another
-  /// slice's aggregator (the cross-shard traffic).
-  double cross_fraction = 0.125;
   std::uint64_t seed = 0x5EED;
 };
 

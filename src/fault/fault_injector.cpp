@@ -7,6 +7,16 @@
 #include "obs/obs.h"
 
 namespace iotsec::fault {
+namespace {
+
+// Shape of every random-plan link flap and control degradation.
+constexpr SimDuration kFlapDuration = 2 * kSecond;
+constexpr double kFlapLossRate = 0.5;
+constexpr SimDuration kDegradeDuration = 2 * kSecond;
+constexpr double kDegradeDropRate = 0.5;
+constexpr SimDuration kDegradeExtraDelay = 10 * kMillisecond;
+
+}  // namespace
 
 std::string_view FaultKindName(FaultKind k) {
   switch (k) {
@@ -115,17 +125,17 @@ std::vector<FaultEvent> FaultInjector::BuildPlan(
       FaultEvent ev;
       ev.kind = FaultKind::kLinkFlap;
       ev.link_index = rng.NextBelow(config.links);
-      ev.duration = config.flap_duration;
-      ev.loss_rate = config.flap_loss_rate;
+      ev.duration = kFlapDuration;
+      ev.loss_rate = kFlapLossRate;
       return ev;
     });
   }
   arrivals(config.control_degrade_rate_hz, [&] {
     FaultEvent ev;
     ev.kind = FaultKind::kControlDegrade;
-    ev.duration = config.degrade_duration;
-    ev.loss_rate = config.degrade_drop_rate;
-    ev.extra_delay = config.degrade_extra_delay;
+    ev.duration = kDegradeDuration;
+    ev.loss_rate = kDegradeDropRate;
+    ev.extra_delay = kDegradeExtraDelay;
     return ev;
   });
 

@@ -53,6 +53,8 @@ struct FaultEvent {
 
 /// Parameters for a random plan: independent Poisson arrival streams per
 /// fault kind over [start, start + horizon), targets drawn uniformly.
+/// Every link flap and control degradation has the same fixed shape (see
+/// fault_injector.cpp).
 struct PlanConfig {
   SimTime start = 0;
   SimDuration horizon = 60 * kSecond;
@@ -61,12 +63,6 @@ struct PlanConfig {
   double host_crash_rate_hz = 0.0;
   double link_flap_rate_hz = 0.0;
   double control_degrade_rate_hz = 0.0;
-
-  SimDuration flap_duration = 2 * kSecond;
-  double flap_loss_rate = 0.5;
-  SimDuration degrade_duration = 2 * kSecond;
-  double degrade_drop_rate = 0.5;
-  SimDuration degrade_extra_delay = 10 * kMillisecond;
 
   std::vector<DeviceId> devices;  // kUmboxCrash candidates
   std::size_t hosts = 0;          // kHostCrash candidate count

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "net/address.h"
 #include "obs/obs.h"
@@ -16,11 +17,7 @@ namespace {
 /// here is that the original value is not recoverable from the stored
 /// form by inspection.)
 std::string PseudonymizeValue(const std::string& value) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : value) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h = Fnv1a64(kFnvTruncatedBasis, value);
   char buf[20];
   std::snprintf(buf, sizeof(buf), "anon-%012llx",
                 static_cast<unsigned long long>(h & 0xffffffffffffull));

@@ -1,6 +1,12 @@
 #include "proto/conn_track.h"
 
 namespace iotsec::proto {
+namespace {
+
+/// Table size above which Update sweeps out idle entries first.
+constexpr std::size_t kMaxEntries = 65536;
+
+}  // namespace
 
 FiveTuple FiveTuple::Canonical() const {
   // Order endpoints lexicographically by (ip, port) so both directions of
@@ -35,7 +41,7 @@ ConnState ConnectionTracker::Update(const ParsedFrame& frame, SimTime now) {
   if (!FiveTuple::FromFrame(frame, tuple)) return ConnState::kNone;
   const FiveTuple key = tuple.Canonical();
 
-  if (table_.size() > config_.max_entries) EvictIdle(now);
+  if (table_.size() > kMaxEntries) EvictIdle(now);
 
   auto it = table_.find(key);
   const bool expired =
@@ -127,10 +133,7 @@ bool ConnectionTracker::IsReplyToTracked(const ParsedFrame& frame,
 
 void ConnectionTracker::EvictIdle(SimTime now) {
   for (auto it = table_.begin(); it != table_.end();) {
-    const auto timeout = config_.tcp_idle_timeout > config_.udp_idle_timeout
-                             ? config_.tcp_idle_timeout
-                             : config_.udp_idle_timeout;
-    if (now - it->second.last_seen > timeout) {
+    if (now - it->second.last_seen > TimeoutFor(it->first.protocol)) {
       it = table_.erase(it);
     } else {
       ++it;

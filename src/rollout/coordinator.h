@@ -44,8 +44,9 @@ namespace iotsec::rollout {
 
 /// What the pre-canary differential-verification gate does with a
 /// candidate version the verifier rejects (see verify/diff_verify.h).
+/// The gate runs only when a verifier is installed (SetVerifier); with
+/// none there is no verification.
 enum class VerifyGateMode : std::uint8_t {
-  kOff,   // no verification (no verifier installed behaves the same)
   kWarn,  // log + count the regression, stage anyway
   kBlock, // quarantine the candidate and fall back to the next viable one
 };
@@ -74,20 +75,19 @@ struct RolloutConfig {
   /// (ctl.rollout.push_msgs / push_bytes meter the channel).
   std::uint32_t push_batch = 32;
 
-  // ---- Health gate. The cohort fails its gate when, over the hold:
-  //   * cohort crashes exceed max_cohort_crashes, or
-  //   * cohort alerts exceed BOTH the absolute quiet-fleet allowance
-  //     (quiet_alert_allowance × cohort size) AND the control group's
-  //     per-device rate scaled by alert_ratio_limit_permille.
+  // The health gate's limits are fixed constants (coordinator.cpp): the
+  // cohort fails its gate when, over the hold,
+  //   * it has any crash (kMaxCohortCrashes = 0), or
+  //   * its alerts exceed BOTH the absolute quiet-fleet allowance
+  //     (kQuietAlertAllowance = 1 per cohort device) AND the control
+  //     group's per-device rate scaled by kAlertRatioLimitPermille = 3000
+  //     (3x the control group).
   // All integer arithmetic on barrier-deterministic counts — no wall
   // clock in the decision path.
-  std::uint32_t max_cohort_crashes = 0;
-  std::uint32_t quiet_alert_allowance = 1;
-  std::uint32_t alert_ratio_limit_permille = 3000;  // 3x control group
 
   /// Pre-canary diff-verify gate mode. Takes effect only when a verifier
-  /// is installed via SetVerifier.
-  VerifyGateMode verify_gate = VerifyGateMode::kOff;
+  /// is installed via SetVerifier, so installing one turns the gate on.
+  VerifyGateMode verify_gate = VerifyGateMode::kBlock;
 };
 
 class RolloutCoordinator {

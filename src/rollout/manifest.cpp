@@ -1,20 +1,10 @@
 #include "rollout/manifest.h"
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace iotsec::rollout {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t FoldBytes(std::uint64_t h, std::string_view bytes) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t FoldU64(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -24,43 +14,33 @@ std::uint64_t FoldU64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Finalizing scramble so structurally-close digests (version off by one)
-/// do not produce close signatures.
-std::uint64_t Mix(std::uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t HashRuleText(std::string_view text) {
-  return FoldBytes(kFnvOffset, text);
+  return Fnv1a64(kFnvTruncatedBasis, text);
 }
 
 std::uint64_t HashRuleList(const std::vector<std::string>& rule_texts) {
   // Commutative: per-rule hashes are scrambled then summed, plus the
   // count, so {A,B} == {B,A} but {A} != {A,A} != {A,B}.
   std::uint64_t h = 0x5CA1AB1Eull + rule_texts.size();
-  for (const auto& text : rule_texts) h += Mix(HashRuleText(text));
-  return Mix(h);
+  // Fmix64 scrambles so structurally-close digests (version off by one)
+  // do not produce close signatures.
+  for (const auto& text : rule_texts) h += Fmix64(HashRuleText(text));
+  return Fmix64(h);
 }
 
 std::uint64_t RulesetManifest::Digest() const {
-  std::uint64_t h = kFnvOffset;
-  h = FoldBytes(h, sku);
+  std::uint64_t h = Fnv1a64(kFnvTruncatedBasis, sku);
   h = FoldU64(h, version);
   h = FoldU64(h, content_hash);
   h = FoldU64(h, parent_hash);
   h = FoldU64(h, snapshot ? 1 : 0);
   h = FoldU64(h, add.size());
-  for (const auto& text : add) h = FoldBytes(h, text);
+  for (const auto& text : add) h = Fnv1a64(h, text);
   h = FoldU64(h, remove.size());
   for (std::uint64_t r : remove) h = FoldU64(h, r);
-  return Mix(h);
+  return Fmix64(h);
 }
 
 std::size_t RulesetManifest::WireBytes() const {
@@ -73,11 +53,11 @@ std::size_t RulesetManifest::WireBytes() const {
 }
 
 void Sign(RulesetManifest& manifest, std::uint64_t key) {
-  manifest.signature = Mix(manifest.Digest() ^ key);
+  manifest.signature = Fmix64(manifest.Digest() ^ key);
 }
 
 bool VerifySignature(const RulesetManifest& manifest, std::uint64_t key) {
-  return manifest.signature == Mix(manifest.Digest() ^ key);
+  return manifest.signature == Fmix64(manifest.Digest() ^ key);
 }
 
 bool RolloutPlan::KnowsVersion(std::uint64_t v, bool* is_signed) const {

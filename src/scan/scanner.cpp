@@ -3,6 +3,24 @@
 #include "proto/dns.h"
 
 namespace iotsec::scan {
+namespace {
+
+/// Pacing between probes (sweeps are rate-limited to avoid drowning the
+/// scanner's own uplink).
+constexpr SimDuration kProbeInterval = 2 * kMillisecond;
+/// How long to wait for stragglers after the last probe.
+constexpr SimDuration kDrain = 5 * kSecond;
+
+struct Credential {
+  const char* user;
+  const char* password;
+};
+/// Wordlist for the default-credential probe.
+constexpr Credential kDefaultCredentials[] = {
+    {"admin", "admin"}, {"admin", "password"}, {"root", "root"},
+    {"admin", "1234"}};
+
+}  // namespace
 
 bool ScanReport::Has(DeviceId device, devices::Vulnerability v) const {
   for (const auto& finding : findings) {
@@ -26,15 +44,6 @@ VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
                                            devices::Attacker& probe)
     : sim_(simulator), run_(std::move(run)), probe_(probe) {}
 
-VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
-                                           sim::RunFn run,
-                                           devices::Attacker& probe,
-                                           Config config)
-    : sim_(simulator),
-      run_(std::move(run)),
-      probe_(probe),
-      config_(std::move(config)) {}
-
 void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
                                        ScanReport& report) {
   using devices::Vulnerability;
@@ -47,13 +56,16 @@ void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
   };
 
   // Default credentials against the management page.
-  for (const auto& [user, password] : config_.default_credentials) {
-    probe_.HttpGet(ip, mac, "/admin", std::make_pair(user, password),
-                   [record, user, password](const proto::HttpResponse& r) {
+  for (const auto& [user, password] : kDefaultCredentials) {
+    std::string evidence = "HTTP 200 on /admin with ";
+    evidence += user;
+    evidence += '/';
+    evidence += password;
+    probe_.HttpGet(ip, mac, "/admin",
+                   std::make_pair(std::string(user), std::string(password)),
+                   [record, evidence](const proto::HttpResponse& r) {
                      if (r.status == 200) {
-                       record(Vulnerability::kDefaultPassword,
-                              "HTTP 200 on /admin with " + user + "/" +
-                                  password);
+                       record(Vulnerability::kDefaultPassword, evidence);
                      }
                    });
     ++report.probes_sent;
@@ -131,13 +143,12 @@ ScanReport VulnerabilityScanner::Sweep(
 
   std::size_t index = 0;
   for (const auto& target : targets) {
-    sim_.After(config_.probe_interval * static_cast<SimDuration>(index + 1),
+    sim_.After(kProbeInterval * static_cast<SimDuration>(index + 1),
                [this, &target, &report] { ProbeTarget(target, report); });
     ++index;
   }
   const SimDuration horizon =
-      config_.probe_interval * static_cast<SimDuration>(targets.size() + 1) +
-      config_.drain;
+      kProbeInterval * static_cast<SimDuration>(targets.size() + 1) + kDrain;
   run_(horizon);
 
   // Open resolvers are attributed by the source address of the DNS

@@ -44,24 +44,10 @@ struct ScanReport {
 
 class VulnerabilityScanner {
  public:
-  struct Config {
-    /// Pacing between probes (sweeps are rate-limited to avoid drowning
-    /// the scanner's own uplink).
-    SimDuration probe_interval = 2 * kMillisecond;
-    /// How long to wait for stragglers after the last probe.
-    SimDuration drain = 5 * kSecond;
-    /// Wordlist for the default-credential probe.
-    std::vector<std::pair<std::string, std::string>> default_credentials = {
-        {"admin", "admin"}, {"admin", "password"}, {"root", "root"},
-        {"admin", "1234"}};
-  };
-
   /// `probe` provides the network vantage point; the scanner drives it,
   /// scheduling probes on its simulator and advancing time with `run`.
   VulnerabilityScanner(sim::Simulator& simulator, sim::RunFn run,
                        devices::Attacker& probe);
-  VulnerabilityScanner(sim::Simulator& simulator, sim::RunFn run,
-                       devices::Attacker& probe, Config config);
 
   /// Sweeps the targets synchronously (advances time through `run`). The
   /// returned report is complete when the call returns.
@@ -73,7 +59,6 @@ class VulnerabilityScanner {
   sim::Simulator& sim_;
   sim::RunFn run_;
   devices::Attacker& probe_;
-  Config config_;
 };
 
 /// Convenience: builds targets for every device in a registry.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "obs/obs.h"
 
 namespace iotsec::sig {
@@ -121,13 +122,7 @@ std::string CompiledRuleset::CanonicalText(const std::vector<Rule>& rules) {
 }
 
 std::uint64_t CompiledRuleset::ContentHash(std::string_view text) {
-  // FNV-1a 64.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return Fnv1a64(kFnvOffsetBasis, text);
 }
 
 CompiledRulesetCache& CompiledRulesetCache::Instance() {

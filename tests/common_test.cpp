@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -220,6 +221,24 @@ TEST(SimulatorTest, PastEventsClampToNow) {
     });
   });
   sim.Run();
+}
+
+TEST(HashTest, Fnv1a64MatchesReferenceVectors) {
+  EXPECT_EQ(Fnv1a64(kFnvOffsetBasis, ""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64(kFnvOffsetBasis, "a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64(kFnvOffsetBasis, "foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(Fnv1a64(kFnvOffsetBasis, ToBytes("foobar")),
+            Fnv1a64(kFnvOffsetBasis, "foobar"))
+      << "byte and text overloads hash the same bytes";
+  // The truncated basis is a different seed, not a different algorithm.
+  EXPECT_EQ(Fnv1a64(kFnvTruncatedBasis, "a"), 0x44bd8ad473cd9906ull);
+}
+
+TEST(HashTest, MixersArePinned) {
+  EXPECT_EQ(Fmix64(0), 0u);
+  EXPECT_EQ(Fmix64(1), 0xb456bcfc34c2cb2cull);
+  EXPECT_EQ(Mix64(1, 2), 0xbeeb8da1658eec67ull);
+  EXPECT_NE(Mix64(1, 2), Mix64(2, 1)) << "the pair fold is order-sensitive";
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(RulePushBatcherTest, RemoveSupersedesBufferedInstalls) {
   // Pre-existing generation of cookie-5 rules the remove must clear.
   sw.flow_table().Install(Entry(5, 1));
 
-  RulePushBatcher batcher(sim, {2 * kMillisecond, 64});
+  RulePushBatcher batcher(sim);
   batcher.Install(&sw, Entry(5, 10), /*urgent=*/false);
   batcher.Install(&sw, Entry(5, 11), /*urgent=*/false);
   // The remove supersedes both buffered installs: they are never sent.
@@ -129,7 +129,7 @@ TEST(RulePushBatcherTest, UrgentOpsFlushWithoutWaitingForTheQuantum) {
   sdn::Switch sw(7, sim, sdn::Switch::MissBehavior::kDrop);
   sw.flow_table().Install(Entry(9, 1));
 
-  RulePushBatcher batcher(sim, {kSecond, 64});  // quantum far away
+  RulePushBatcher batcher(sim);  // no ticker: only urgent ops flush
   // A quarantine transition emits remove+install from one handler; the
   // After(0) flush lands both in a single batch at the same sim time.
   sim.At(kMillisecond, [&] {
@@ -151,23 +151,24 @@ TEST(RulePushBatcherTest, QuantumAndSizeThresholdBothTriggerFlushes) {
   sim::Simulator sim;
   sdn::Switch sw(7, sim, sdn::Switch::MissBehavior::kDrop);
 
-  RulePushBatcher batcher(sim, {2 * kMillisecond, /*max_batch=*/3});
+  RulePushBatcher batcher(sim);
   batcher.Start();
   batcher.Install(&sw, Entry(0, 1), /*urgent=*/false);
-  sim.RunFor(kMillisecond);
+  sim.RunFor(kPushQuantum / 2);
   EXPECT_EQ(batcher.stats().pushes, 0u) << "quantum not reached yet";
-  sim.RunFor(2 * kMillisecond);
+  sim.RunFor(kPushQuantum);
   EXPECT_EQ(batcher.stats().pushes, 1u) << "quantum ticker flushed";
 
-  // Hitting max_batch forces an immediate (same-time) flush.
+  // Hitting kPushMaxBatch forces an immediate (same-time) flush.
   sim.After(0, [&] {
-    for (int i = 0; i < 3; ++i) {
-      batcher.Install(&sw, Entry(0, 10 + i), /*urgent=*/false);
+    for (std::size_t i = 0; i < kPushMaxBatch; ++i) {
+      batcher.Install(&sw, Entry(0, 10 + static_cast<int>(i)),
+                      /*urgent=*/false);
     }
   });
   sim.RunFor(kMicrosecond);
   EXPECT_EQ(batcher.stats().pushes, 2u);
-  EXPECT_EQ(sw.flow_table().Size(), 4u);
+  EXPECT_EQ(sw.flow_table().Size(), kPushMaxBatch + 1);
   EXPECT_NE(batcher.PushDigest(), 0u);
 }
 

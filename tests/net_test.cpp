@@ -184,9 +184,7 @@ TEST(ConnTrackerTest, RstClosesConnection) {
 }
 
 TEST(ConnTrackerTest, UdpExchangeTracksAndTimesOut) {
-  proto::ConnectionTracker::Config cfg;
-  cfg.udp_idle_timeout = kSecond;
-  proto::ConnectionTracker tracker(cfg);
+  proto::ConnectionTracker tracker;
   const Ipv4Address a(10, 0, 0, 1);
   const Ipv4Address b(10, 0, 0, 2);
   Bytes storage = proto::BuildUdpFrame(MacAddress::FromId(1),
@@ -201,7 +199,27 @@ TEST(ConnTrackerTest, UdpExchangeTracksAndTimesOut) {
   auto reply = *proto::ParseFrame(reply_storage);
   EXPECT_TRUE(tracker.IsReplyToTracked(reply, 100 * kMillisecond));
   // After the idle timeout the flow is forgotten.
-  EXPECT_FALSE(tracker.IsReplyToTracked(reply, 10 * kSecond));
+  EXPECT_FALSE(
+      tracker.IsReplyToTracked(reply, proto::kUdpIdleTimeout + kSecond));
+}
+
+TEST(ConnTrackerTest, EvictIdleDropsIdleUdpFlows) {
+  proto::ConnectionTracker tracker;
+  const Ipv4Address a(10, 0, 0, 1);
+  const Ipv4Address b(10, 0, 0, 2);
+  Bytes storage = proto::BuildUdpFrame(MacAddress::FromId(1),
+                                       MacAddress::FromId(2), a, b, 111, 222,
+                                       ToBytes("x"));
+  const auto frame = *proto::ParseFrame(storage);
+  tracker.Update(frame, 0);
+  const SimTime idle = proto::kUdpIdleTimeout + kSecond;
+  proto::FiveTuple tuple;
+  ASSERT_TRUE(proto::FiveTuple::FromFrame(frame, tuple));
+  ASSERT_EQ(tracker.Lookup(tuple, idle), proto::ConnState::kNone);
+
+  // Eviction applies the UDP timeout, not the (longer) TCP one.
+  tracker.EvictIdle(idle);
+  EXPECT_EQ(tracker.ActiveConnections(), 0u);
 }
 
 TEST(ConnTrackerTest, FinFinClosesGracefully) {

@@ -155,26 +155,6 @@ TEST(RecoveryTest, FailOpenOutageLeavesForwardingUp) {
   EXPECT_EQ(Probe(dep, cam), 200);
 }
 
-TEST(RecoveryTest, SelfHealingOffChangesNothing) {
-  core::DeploymentOptions opts;
-  opts.controller.self_healing = false;
-  core::Deployment dep(opts);
-  auto* cam = dep.AddCamera("cam");
-  policy::FsmPolicy policy;
-  policy.SetDefault(core::MonitorPosture());
-  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
-  dep.Start();
-  dep.RunFor(kSecond);
-  ASSERT_EQ(Probe(dep, cam), 200);
-
-  dep.chaos().CrashUmboxOf(dep.sim().Now() + kMillisecond, cam->id());
-  dep.RunFor(5 * kSecond);
-  const auto& stats = dep.controller().stats();
-  EXPECT_EQ(stats.heartbeats, 0u);
-  EXPECT_EQ(stats.detected_failures, 0u);
-  EXPECT_EQ(Probe(dep, cam), 0) << "no self-healing: the outage persists";
-}
-
 TEST(RecoveryTest, BackoffIsDeterministicPerSeed) {
   // Two identical runs, same recovery seed: identical recovery outcomes
   // and identical MTTR (jitter comes from a seeded stream).

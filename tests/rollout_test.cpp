@@ -355,7 +355,7 @@ TEST(CoordinatorTest, CanaryCrashRollsBack) {
   w.sim.After(50 * kMillisecond, [&] {
     const auto canaries = w.Canaries(v);
     ASSERT_FALSE(canaries.empty());
-    w.coord->OnDeviceCrash(canaries.front());  // max_cohort_crashes = 0
+    w.coord->OnDeviceCrash(canaries.front());  // no crash is allowed
   });
   w.sim.RunFor(kSecond);
   EXPECT_EQ(w.coord->stats().rollbacks, 1u);
@@ -515,9 +515,8 @@ constexpr char kAlertBackdoor[] =
     "iot_backdoor; )";
 
 TEST(CoordinatorTest, VerifyGateBlocksWeakenedDeltaAndPassesBenign) {
-  auto cfg = CoordinatorWorld::MakeConfig();
-  cfg.verify_gate = VerifyGateMode::kBlock;
-  CoordinatorWorld w(50, cfg);
+  // Default gate mode: installing a verifier is enough to block.
+  CoordinatorWorld w(50);
   GateModelFixture fixture;
   verify::ModelCheckCache cache;
   w.coord->SetVerifier(
@@ -577,22 +576,6 @@ TEST(CoordinatorTest, VerifyGateWarnModeStagesAnyway) {
   EXPECT_EQ(w.coord->stats().verify_warns, 1u);
   EXPECT_EQ(w.coord->stats().verify_blocks, 0u);
   EXPECT_FALSE(w.store.IsQuarantined("SKU", v2));
-}
-
-TEST(CoordinatorTest, VerifyGateOffIgnoresInstalledVerifier) {
-  auto cfg = CoordinatorWorld::MakeConfig();
-  cfg.verify_gate = VerifyGateMode::kOff;
-  CoordinatorWorld w(50, cfg);
-  GateModelFixture fixture;
-  w.coord->SetVerifier(
-      verify::MakePreRolloutVerifier(fixture.Model(), &w.store, nullptr));
-  w.store.Cut("SKU", {kBlockBackdoor});
-  w.coord->OnVersionCut("SKU");
-  const auto v2 = w.store.Cut("SKU", {kAlertBackdoor});
-  w.coord->OnVersionCut("SKU");
-  w.sim.RunFor(2 * kSecond);
-  EXPECT_EQ(w.coord->StableOf("SKU"), v2);
-  EXPECT_EQ(w.coord->stats().verify_checks, 0u);
 }
 
 // ----------------------------------------------------- deployment end-to-end

@@ -11,31 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/iotsec.h"
 #include "core/sharded_fleet.h"
 #include "obs/obs.h"
 
 namespace iotsec {
 namespace {
-
-std::uint64_t Mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-std::uint64_t HashString(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// Order-independent fold of the global flight-recorder timeline:
 /// (sim_time, type, a, b) per event, seq and thread id excluded — those
@@ -121,7 +103,7 @@ ScenarioResult RunScenario(int shards, bool threads) {
   // Digest: recorder timeline + environment end-state + link totals.
   std::uint64_t digest = RecorderDigest();
   for (const auto& [name, level] : dep.environment().SnapshotLevels()) {
-    digest = Mix64(digest, Mix64(HashString(name),
+    digest = Mix64(digest, Mix64(Fnv1a64(kFnvOffsetBasis, name),
                                  static_cast<std::uint64_t>(level)));
   }
   const auto net = dep.AggregateLinkStats();

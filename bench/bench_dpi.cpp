@@ -152,7 +152,6 @@ struct ScanRow {
   double dense_eval_pps = 0;
   double eval_speedup = 0;
   std::size_t states = 0;
-  std::size_t dense_states = 0;
   std::size_t seed_mem_bytes = 0;
   std::size_t dense_mem_bytes = 0;
 };
@@ -197,7 +196,6 @@ ScanRow RunScanRow(std::size_t n_rules, std::size_t payload_len) {
   SeedEngine seed(w.rules);
   const sig::DenseDfa dense = sig::DenseDfa::Compile(seed.automaton);
   row.states = seed.automaton.NodeCount();
-  row.dense_states = dense.DenseStateCount();
   // Seed node footprint: 256-wide int32 next array + fail/depth + the
   // output vector header per node (per-node heap blocks not counted).
   row.seed_mem_bytes =
@@ -380,7 +378,6 @@ int main() {
       w.Field("dense_eval_pps", r.dense_eval_pps, 0);
       w.Field("eval_speedup", r.eval_speedup, 2);
       w.Field("states", r.states);
-      w.Field("dense_states", r.dense_states);
       w.Field("seed_mem_bytes", r.seed_mem_bytes);
       w.Field("dense_mem_bytes", r.dense_mem_bytes);
       w.EndObject();

@@ -25,18 +25,27 @@ constexpr SimDuration kRestartBackoffCap = 5 * kSecond;
 /// restarts after a host failure).
 constexpr double kRestartJitter = 0.2;
 
-/// First declared element name in a Click-lite config (its entry point).
-std::string FirstElementName(const std::string& config) {
+/// A Click-lite config's entry point, resolved as MboxGraph::Build does:
+/// the last `entry` directive if there is one, else the first declared
+/// element. Sets *has_directive when an `entry` line decided it.
+std::string EntryElementName(const std::string& config, bool* has_directive) {
+  std::string first_decl;
+  std::string directive;
   for (const auto& raw : Split(config, '\n')) {
     const auto line = Trim(raw);
     if (line.empty() || line.front() == '#') continue;
+    if (StartsWith(line, "entry ")) {
+      directive = std::string(Trim(line.substr(6)));
+      continue;
+    }
     const auto decl = line.find("::");
     const auto arrow = line.find("->");
-    if (decl == std::string_view::npos) continue;
+    if (!first_decl.empty() || decl == std::string_view::npos) continue;
     if (arrow != std::string_view::npos && arrow < decl) continue;
-    return std::string(Trim(line.substr(0, decl)));
+    first_decl = std::string(Trim(line.substr(0, decl)));
   }
-  return "";
+  *has_directive = !directive.empty();
+  return *has_directive ? directive : first_decl;
 }
 
 }  // namespace
@@ -228,14 +237,24 @@ std::string IoTSecController::EffectiveConfig(
   if (rule_texts == nullptr || rule_texts->empty() || config.empty()) {
     return config;
   }
-  const std::string entry = FirstElementName(config);
+  bool has_entry_directive = false;
+  const std::string entry = EntryElementName(config, &has_entry_directive);
   if (entry.empty()) return config;
   // The rule text goes inside a quoted config value, so its own quotes
   // must go; the rule parser accepts unquoted option values.
   std::string rules = Join(*rule_texts, "\n");
   std::erase(rules, '"');
-  return "crowd :: SignatureMatcher(rules=\"" + rules + "\")\n" + config +
-         "crowd -> " + entry + "\n";
+  // `crowd` is declared first, so it is the entry of a config without an
+  // `entry` directive; a config with one gets a final `entry crowd`, which
+  // overrides it (the last directive wins). Either way every packet meets
+  // the crowd rules before the config's own entry element. A config whose
+  // last line has no newline gets one, or the wiring would join that line.
+  std::string spliced =
+      "crowd :: SignatureMatcher(rules=\"" + rules + "\")\n" + config;
+  if (spliced.back() != '\n') spliced += '\n';
+  spliced += "crowd -> " + entry + "\n";
+  if (has_entry_directive) spliced += "entry crowd\n";
+  return spliced;
 }
 
 void IoTSecController::OnCrowdSignature(const std::string& sku) {

@@ -77,7 +77,10 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
       if (decap->header.origin_switch == id_ ||
           decap->header.origin_switch == 0) {
         ++stats_.decapsulated;
-        HandleTunnelReturn(net::MakePacket(std::move(decap->inner)));
+        auto inner = net::MakePacket(std::move(decap->inner));
+        inner->created_at = pkt->created_at;
+        inner->CopyTraceFrom(*pkt);
+        HandleTunnelReturn(std::move(inner));
         return;
       }
       const int toward = PortToSwitch(decap->header.origin_switch);

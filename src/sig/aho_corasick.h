@@ -79,9 +79,6 @@ class AhoCorasick {
                                             std::uint8_t byte) const {
     return nodes_[node].next[byte];
   }
-  [[nodiscard]] std::int32_t NodeFail(std::size_t node) const {
-    return nodes_[node].fail;
-  }
   [[nodiscard]] std::int32_t NodeDepth(std::size_t node) const {
     return nodes_[node].depth;
   }

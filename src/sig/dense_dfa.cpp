@@ -1,32 +1,17 @@
 #include "sig/dense_dfa.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace iotsec::sig {
 
-namespace {
-
-// Fallback-layout tuning. States at or below this trie depth always get
-// dense 256-wide rows: scans spend nearly all their time at the root and
-// its immediate children, and depth<=1 bounds the dense set at 257 rows
-// regardless of ruleset size.
-constexpr std::int32_t kDenseDepthMax = 1;
-
-// Deeper states whose delta-vs-fail edge count reaches this threshold are
-// also stored dense; past ~32 edges the linear delta probe plus fail
-// chaining costs more than the 1 KB row buys back.
-constexpr std::size_t kDenseFanoutMin = 32;
-
-}  // namespace
-
-DenseDfa DenseDfa::Compile(const AhoCorasick& ac,
-                           std::size_t compact_max_states) {
+DenseDfa DenseDfa::Compile(const AhoCorasick& ac) {
   DenseDfa dfa;
   dfa.pattern_count_ = ac.PatternCount();
   if (!ac.Built() || ac.PatternCount() == 0) return dfa;
 
-  dfa.fold_ = ac.FoldsInput();
-  if (dfa.fold_) {
+  const bool fold = ac.FoldsInput();
+  if (fold) {
     const int n_patterns = static_cast<int>(ac.PatternCount());
     dfa.verify_.resize(static_cast<std::size_t>(n_patterns), 0);
     dfa.texts_.resize(static_cast<std::size_t>(n_patterns));
@@ -39,186 +24,101 @@ DenseDfa DenseDfa::Compile(const AhoCorasick& ac,
   }
 
   const std::size_t n = ac.NodeCount();
+
+  // Alphabet compression: a byte appearing in no (folded) pattern has no
+  // trie edge anywhere, so the goto-closure sends it to the root from
+  // every state — all such bytes share one sink class. Every distinct
+  // pattern byte gets its own class.
+  std::array<bool, 256> present{};
+  for (int pid = 0; pid < static_cast<int>(ac.PatternCount()); ++pid) {
+    for (const char ch : ac.PatternText(pid)) {
+      auto byte = static_cast<std::uint8_t>(ch);
+      if (fold) byte = kCaseFold[byte];
+      present[byte] = true;
+    }
+  }
+  std::array<std::uint8_t, 256> class_of{};
+  // class -> a byte the trie sees for that class: the pattern byte itself,
+  // or for the sink a byte in no folded pattern. Rows are filled from the
+  // trie's transitions on these bytes as they are, never folded again:
+  // folding the sink's byte (say 'A' once 0x00-0x40 are all in use) could
+  // turn it into a pattern byte and give the sink a non-root successor.
+  std::vector<std::uint8_t> rep;
+  int sink_byte = -1;
+  for (int b = 0; b < 256; ++b) {
+    if (!present[b]) {
+      sink_byte = b;
+      break;
+    }
+  }
+  if (sink_byte >= 0) rep.push_back(static_cast<std::uint8_t>(sink_byte));
+  for (int b = 0; b < 256; ++b) {
+    if (present[b]) {
+      class_of[b] = static_cast<std::uint8_t>(rep.size());
+      rep.push_back(static_cast<std::uint8_t>(b));
+    } else if (sink_byte >= 0) {
+      class_of[b] = 0;
+    }
+  }
+  dfa.nclasses_ = static_cast<std::uint32_t>(rep.size());
+  // Baking the fold into the classmap means the scan takes raw bytes with
+  // no per-byte fold in the hot loop.
+  for (int b = 0; b < 256; ++b) {
+    const auto folded = fold ? kCaseFold[static_cast<std::uint8_t>(b)]
+                             : static_cast<std::uint8_t>(b);
+    dfa.classmap_[static_cast<std::size_t>(b)] = class_of[folded];
+  }
+  // Rows are padded to a power of two so successor entries can be
+  // pre-multiplied row offsets (id << shift_) — the scan step becomes
+  // add + load with no multiply on the dependency chain. The offsets are
+  // uint32: an automaton whose last row offset does not fit is refused
+  // rather than wrapped.
+  dfa.shift_ = ShiftFor(dfa.nclasses_);
+  if (n > MaxStates(dfa.nclasses_)) {
+    throw std::length_error("DenseDfa: " + std::to_string(n) +
+                            " states overflow uint32 row offsets");
+  }
   dfa.state_count_ = n;
 
-  // The scan-time transition function: in a folding automaton every input
-  // byte is folded before the node-array lookup. Baking the fold into the
-  // classmap / compiled rows here means Next() takes raw bytes with no
-  // per-byte fold in the hot loop.
-  auto transition = [&ac, fold = dfa.fold_](std::size_t s,
-                                            int c) -> std::int32_t {
-    const auto byte = static_cast<std::uint8_t>(c);
-    return ac.NodeTransition(s, fold ? kCaseFold[byte] : byte);
-  };
-
-  if (n <= compact_max_states) {
-    // --- Class-compressed layout. ---
-    dfa.compact_ = true;
-
-    // Alphabet compression: a byte appearing in no (folded) pattern has no
-    // trie edge anywhere, so the goto-closure sends it to the root from
-    // every state — all such bytes share one sink class. Every distinct
-    // pattern byte gets its own class.
-    std::array<bool, 256> present{};
-    for (int pid = 0; pid < static_cast<int>(ac.PatternCount()); ++pid) {
-      for (const char ch : ac.PatternText(pid)) {
-        auto byte = static_cast<std::uint8_t>(ch);
-        if (dfa.fold_) byte = kCaseFold[byte];
-        present[byte] = true;
-      }
+  // Permute states with outputs to the top of the id range so the scan
+  // loop's "any match here?" test is one compare against out_boundary_row_.
+  // Within each half, order by trie depth: scans spend most bytes at
+  // shallow states (the deeper the state, the longer the suffix that
+  // must match a pattern prefix), so depth order packs the hot rows into
+  // a contiguous L1-resident prefix of the table.
+  std::vector<std::size_t> old_of_new;
+  old_of_new.reserve(n);
+  for (int pass = 0; pass < 2; ++pass) {
+    const bool want_outputs = pass == 1;
+    const std::size_t half_begin = old_of_new.size();
+    for (std::size_t s = 0; s < n; ++s) {
+      if (ac.NodeOutputs(s).empty() != want_outputs) old_of_new.push_back(s);
     }
-    std::array<std::uint8_t, 256> class_of{};
-    std::vector<std::uint8_t> rep;  // class -> representative folded byte
-    int sink_byte = -1;
-    for (int b = 0; b < 256; ++b) {
-      if (!present[b]) {
-        sink_byte = b;
-        break;
-      }
+    std::stable_sort(old_of_new.begin() +
+                         static_cast<std::ptrdiff_t>(half_begin),
+                     old_of_new.end(), [&ac](std::size_t a, std::size_t b) {
+                       return ac.NodeDepth(a) < ac.NodeDepth(b);
+                     });
+    if (pass == 0) {
+      dfa.out_boundary_row_ = static_cast<std::uint32_t>(old_of_new.size())
+                              << dfa.shift_;
     }
-    if (sink_byte >= 0) rep.push_back(static_cast<std::uint8_t>(sink_byte));
-    for (int b = 0; b < 256; ++b) {
-      if (present[b]) {
-        class_of[b] = static_cast<std::uint8_t>(rep.size());
-        rep.push_back(static_cast<std::uint8_t>(b));
-      } else if (sink_byte >= 0) {
-        class_of[b] = 0;
-      }
-    }
-    dfa.nclasses_ = static_cast<std::uint32_t>(rep.size());
-    for (int b = 0; b < 256; ++b) {
-      const auto folded =
-          dfa.fold_ ? kCaseFold[static_cast<std::uint8_t>(b)]
-                    : static_cast<std::uint8_t>(b);
-      dfa.classmap_[static_cast<std::size_t>(b)] = class_of[folded];
-    }
-    // Rows are padded to a power of two so successor entries can be
-    // pre-multiplied row offsets (id << shift_) — the scan step becomes
-    // add + load with no multiply on the dependency chain.
-    dfa.shift_ = 0;
-    while ((1u << dfa.shift_) < dfa.nclasses_) ++dfa.shift_;
-
-    // Permute states with outputs to the top of the id range so the scan
-    // loop's "any match here?" test is one compare against out_boundary_.
-    // Within each half, order by trie depth: scans spend most bytes at
-    // shallow states (the deeper the state, the longer the suffix that
-    // must match a pattern prefix), so depth order packs the hot rows into
-    // a contiguous L1-resident prefix of the table.
-    std::vector<std::size_t> old_of_new;
-    old_of_new.reserve(n);
-    for (int pass = 0; pass < 2; ++pass) {
-      const bool want_outputs = pass == 1;
-      std::size_t half_begin = old_of_new.size();
-      for (std::size_t s = 0; s < n; ++s) {
-        if (ac.NodeOutputs(s).empty() != want_outputs) old_of_new.push_back(s);
-      }
-      std::stable_sort(old_of_new.begin() +
-                           static_cast<std::ptrdiff_t>(half_begin),
-                       old_of_new.end(), [&ac](std::size_t a, std::size_t b) {
-                         return ac.NodeDepth(a) < ac.NodeDepth(b);
-                       });
-      if (pass == 0) {
-        dfa.out_boundary_ = static_cast<std::uint32_t>(old_of_new.size());
-      }
-    }
-    std::vector<std::int32_t> new_id(n);
-    for (std::size_t ns = 0; ns < n; ++ns) {
-      new_id[old_of_new[ns]] = static_cast<std::int32_t>(ns);
-    }
-
-    dfa.out_boundary_row_ = dfa.out_boundary_ << dfa.shift_;
-    dfa.table_.assign(n << dfa.shift_, 0);
-    dfa.out_start_.assign(n + 1, 0);
-    for (std::size_t ns = 0; ns < n; ++ns) {
-      const std::size_t s = old_of_new[ns];
-      std::uint32_t* row = &dfa.table_[ns << dfa.shift_];
-      for (std::uint32_t cls = 0; cls < dfa.nclasses_; ++cls) {
-        row[cls] = static_cast<std::uint32_t>(
-                       new_id[static_cast<std::size_t>(transition(s, rep[cls]))])
-                   << dfa.shift_;
-      }
-      for (const int pid : ac.NodeOutputs(s)) {
-        dfa.out_ids_.push_back(pid);
-      }
-      dfa.out_start_[ns + 1] = static_cast<std::uint32_t>(dfa.out_ids_.size());
-    }
-    return dfa;
+  }
+  std::vector<std::uint32_t> new_id(n);
+  for (std::size_t ns = 0; ns < n; ++ns) {
+    new_id[old_of_new[ns]] = static_cast<std::uint32_t>(ns);
   }
 
-  // --- Fallback hybrid layout for automatons past uint16 state ids. ---
-  // Pass 1: per-state delta-edge counts (vs the failure state's closed
-  // row) decide dense vs sparse and size the CSR arrays.
-  std::vector<std::uint16_t> delta_count(n, 0);
-  for (std::size_t s = 1; s < n; ++s) {
-    const auto fail = static_cast<std::size_t>(ac.NodeFail(s));
-    std::uint16_t deltas = 0;
-    for (int c = 0; c < 256; ++c) {
-      if (transition(s, c) != transition(fail, c)) ++deltas;
-    }
-    delta_count[s] = deltas;
-  }
-
-  // State ids are permuted dense-first so the hot-path dense test in
-  // Next() is one compare against dense_count_ (no row-index array).
-  std::vector<std::int32_t> new_id(n);
-  std::size_t dense_states = 0;
-  std::size_t sparse_edges = 0;
-  std::size_t outputs = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const bool dense = s == 0 || ac.NodeDepth(s) <= kDenseDepthMax ||
-                       delta_count[s] >= kDenseFanoutMin;
-    if (dense) {
-      new_id[s] = static_cast<std::int32_t>(dense_states++);
-    } else {
-      sparse_edges += delta_count[s];
-    }
-    outputs += ac.NodeOutputs(s).size();
-  }
-  std::int32_t next_sparse = static_cast<std::int32_t>(dense_states);
-  for (std::size_t s = 0; s < n; ++s) {
-    const bool dense = s == 0 || ac.NodeDepth(s) <= kDenseDepthMax ||
-                       delta_count[s] >= kDenseFanoutMin;
-    if (!dense) new_id[s] = next_sparse++;
-  }
-  std::vector<std::size_t> old_of_new(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    old_of_new[static_cast<std::size_t>(new_id[s])] = s;
-  }
-
-  dfa.dense_count_ = static_cast<std::int32_t>(dense_states);
-  dfa.out_boundary_ = 0;  // every state runs the CSR output check
-  dfa.fail_.resize(n);
-  dfa.edge_start_.assign(n + 1, 0);
+  dfa.table_.assign(n << dfa.shift_, 0);
   dfa.out_start_.assign(n + 1, 0);
-  dfa.dense_.resize(dense_states * 256);
-  dfa.edge_bytes_.reserve(sparse_edges);
-  dfa.edge_to_.reserve(sparse_edges);
-  dfa.out_ids_.reserve(outputs);
-
-  // Pass 2: fill the flattened arrays in new-id order. Edges are emitted
-  // in ascending byte order (the 0..255 walk), outputs in the node's
-  // (already fail-merged) order so match emission matches the node-based
-  // automaton exactly.
   for (std::size_t ns = 0; ns < n; ++ns) {
     const std::size_t s = old_of_new[ns];
-    dfa.fail_[ns] = new_id[static_cast<std::size_t>(ac.NodeFail(s))];
-    if (ns < dense_states) {
-      std::int32_t* row = &dfa.dense_[ns * 256];
-      for (int c = 0; c < 256; ++c) {
-        row[c] = new_id[static_cast<std::size_t>(transition(s, c))];
-      }
-    } else {
-      const auto fail = static_cast<std::size_t>(ac.NodeFail(s));
-      for (int c = 0; c < 256; ++c) {
-        const std::int32_t to = transition(s, c);
-        if (to != transition(fail, c)) {
-          dfa.edge_bytes_.push_back(static_cast<std::uint8_t>(c));
-          dfa.edge_to_.push_back(new_id[static_cast<std::size_t>(to)]);
-        }
-      }
+    std::uint32_t* row = &dfa.table_[ns << dfa.shift_];
+    for (std::uint32_t cls = 0; cls < dfa.nclasses_; ++cls) {
+      const auto next =
+          static_cast<std::size_t>(ac.NodeTransition(s, rep[cls]));
+      row[cls] = new_id[next] << dfa.shift_;
     }
-    dfa.edge_start_[ns + 1] =
-        static_cast<std::uint32_t>(dfa.edge_bytes_.size());
     for (const int pid : ac.NodeOutputs(s)) {
       dfa.out_ids_.push_back(pid);
     }
@@ -230,101 +130,10 @@ DenseDfa DenseDfa::Compile(const AhoCorasick& ac,
 std::vector<AhoCorasick::Match> DenseDfa::FindAll(
     std::span<const std::uint8_t> data) const {
   std::vector<AhoCorasick::Match> out;
-  if (Empty()) return out;
-  if (compact_) {
-    std::uint32_t row = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      row = table_[row + classmap_[data[i]]];
-      if (row < out_boundary_row_) continue;
-      const auto state = static_cast<std::size_t>(row >> shift_);
-      const std::uint32_t ob = out_start_[state];
-      const std::uint32_t oe = out_start_[state + 1];
-      for (std::uint32_t o = ob; o < oe; ++o) {
-        if (VerifyAt(data, i + 1, out_ids_[o])) {
-          out.push_back(AhoCorasick::Match{out_ids_[o], i + 1});
-        }
-      }
-    }
-    return out;
-  }
-  std::int32_t state = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    state = Next(state, data[i]);
-    const std::uint32_t ob = out_start_[static_cast<std::size_t>(state)];
-    const std::uint32_t oe = out_start_[static_cast<std::size_t>(state) + 1];
-    for (std::uint32_t o = ob; o < oe; ++o) {
-      if (VerifyAt(data, i + 1, out_ids_[o])) {
-        out.push_back(AhoCorasick::Match{out_ids_[o], i + 1});
-      }
-    }
-  }
+  ScanOutputs(data, [&](std::int32_t pid, std::size_t end) {
+    if (VerifyAt(data, end, pid)) out.push_back(AhoCorasick::Match{pid, end});
+  });
   return out;
-}
-
-std::size_t DenseDfa::MarkMatches(std::span<const std::uint8_t> data,
-                                  std::vector<bool>& seen) const {
-  if (Empty()) return 0;
-  std::size_t hits = 0;
-  if (compact_) {
-    std::uint32_t row = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      row = table_[row + classmap_[data[i]]];
-      if (row < out_boundary_row_) continue;
-      const auto state = static_cast<std::size_t>(row >> shift_);
-      const std::uint32_t ob = out_start_[state];
-      const std::uint32_t oe = out_start_[state + 1];
-      for (std::uint32_t o = ob; o < oe; ++o) {
-        const auto pid = static_cast<std::size_t>(out_ids_[o]);
-        if (!seen[pid] && VerifyAt(data, i + 1, out_ids_[o])) {
-          seen[pid] = true;
-          ++hits;
-        }
-      }
-    }
-    return hits;
-  }
-  std::int32_t state = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    state = Next(state, data[i]);
-    const std::uint32_t ob = out_start_[static_cast<std::size_t>(state)];
-    const std::uint32_t oe = out_start_[static_cast<std::size_t>(state) + 1];
-    for (std::uint32_t o = ob; o < oe; ++o) {
-      const auto pid = static_cast<std::size_t>(out_ids_[o]);
-      if (!seen[pid] && VerifyAt(data, i + 1, out_ids_[o])) {
-        seen[pid] = true;
-        ++hits;
-      }
-    }
-  }
-  return hits;
-}
-
-bool DenseDfa::MatchesAny(std::span<const std::uint8_t> data) const {
-  if (Empty()) return false;
-  if (compact_) {
-    std::uint32_t row = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      row = table_[row + classmap_[data[i]]];
-      if (row < out_boundary_row_) continue;
-      const auto state = static_cast<std::size_t>(row >> shift_);
-      const std::uint32_t ob = out_start_[state];
-      const std::uint32_t oe = out_start_[state + 1];
-      for (std::uint32_t o = ob; o < oe; ++o) {
-        if (VerifyAt(data, i + 1, out_ids_[o])) return true;
-      }
-    }
-    return false;
-  }
-  std::int32_t state = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    state = Next(state, data[i]);
-    const std::uint32_t ob = out_start_[static_cast<std::size_t>(state)];
-    const std::uint32_t oe = out_start_[static_cast<std::size_t>(state) + 1];
-    for (std::uint32_t o = ob; o < oe; ++o) {
-      if (VerifyAt(data, i + 1, out_ids_[o])) return true;
-    }
-  }
-  return false;
 }
 
 std::size_t DenseDfa::MemoryBytes() const {
@@ -332,13 +141,8 @@ std::size_t DenseDfa::MemoryBytes() const {
   for (const std::string& t : texts_) text_bytes += t.size();
   return text_bytes + sizeof(classmap_) +
          table_.size() * sizeof(std::uint32_t) +
-         fail_.size() * sizeof(std::int32_t) +
-         edge_start_.size() * sizeof(std::uint32_t) +
-         edge_bytes_.size() * sizeof(std::uint8_t) +
-         edge_to_.size() * sizeof(std::int32_t) +
          out_start_.size() * sizeof(std::uint32_t) +
-         out_ids_.size() * sizeof(std::int32_t) +
-         dense_.size() * sizeof(std::int32_t);
+         out_ids_.size() * sizeof(std::int32_t);
 }
 
 }  // namespace iotsec::sig

@@ -22,14 +22,14 @@
 //     content rulesets draw from a few dozen byte values, so a row is tens
 //     of bytes instead of the node's 1 KB and the whole 1k-rule table fits
 //     in L1/L2;
-//   - states with outputs are permuted to the id range
-//     [out_boundary_, n), so the per-byte "any match here?" test is a
-//     single compare, and the CSR output arrays are only touched on hits;
+//   - states with outputs are permuted to the top of the id range, so the
+//     per-byte "any match here?" test is a single compare against
+//     out_boundary_row_, and the CSR output arrays are only touched on
+//     hits;
 //   - pattern outputs are flattened into one CSR array pair.
-// Automatons too large for uint16 state ids (> 65535 states) fall back to
-// a hybrid layout: 256-wide int32 rows for hot states (root/depth<=1/
-// high-fanout) and sorted delta-vs-fail edges with failure-chain fallback
-// for the rest.
+// Row offsets are uint32, so Compile refuses (throws std::length_error) an
+// automaton with more than MaxStates(ClassCount()) states — at least 2^24
+// (16.7M) states even with all 256 byte classes in use.
 //
 // The DFA is immutable after Compile and safe to share read-only across
 // µmboxes (CompiledRulesetCache does exactly that).
@@ -51,23 +51,23 @@ class DenseDfa {
 
   /// Flattens a built automaton. `ac.Built()` must be true (an empty,
   /// never-built automaton yields an empty DFA that matches nothing).
-  /// Automatons with more than `compact_max_states` states use the hybrid
-  /// dense-row/delta-edge layout instead of the class-compressed table;
-  /// the parameter exists so tests can force the fallback on small inputs.
-  static DenseDfa Compile(const AhoCorasick& ac,
-                          std::size_t compact_max_states = 65535);
+  /// Throws std::length_error if the automaton has more states than
+  /// MaxStates allows for its byte-class count.
+  static DenseDfa Compile(const AhoCorasick& ac);
+
+  /// Largest state count whose row offsets (id << log2(padded class
+  /// count)) fit in uint32, for an alphabet of `class_count` byte classes.
+  [[nodiscard]] static constexpr std::size_t MaxStates(
+      std::uint32_t class_count) {
+    return (std::size_t{UINT32_MAX} >> ShiftFor(class_count)) + 1;
+  }
 
   /// Returns every pattern occurrence, same order/semantics as
   /// AhoCorasick::FindAll.
   [[nodiscard]] std::vector<AhoCorasick::Match> FindAll(
       std::span<const std::uint8_t> data) const;
 
-  /// Sets `seen[id] = true` for every pattern appearing in `data`;
-  /// allocation-free beyond the caller's bitmap. Returns newly-set count.
-  std::size_t MarkMatches(std::span<const std::uint8_t> data,
-                          std::vector<bool>& seen) const;
-
-  /// Epoch-marking variant used by CompiledRuleset: for each *newly* seen
+  /// Epoch-marking scan used by CompiledRuleset: for each *newly* seen
   /// pattern this scan, sets seen_epoch[id] = epoch and invokes
   /// `on_new(id)`. Never clears the array, so per-packet cost is
   /// independent of pattern count.
@@ -75,87 +75,51 @@ class DenseDfa {
   void MarkMatchesEpoch(std::span<const std::uint8_t> data,
                         std::vector<std::uint32_t>& seen_epoch,
                         std::uint32_t epoch, OnNew&& on_new) const {
-    if (Empty()) return;
-    if (compact_) {
-      std::uint32_t row = 0;
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        row = table_[row + classmap_[data[i]]];
-        if (row < out_boundary_row_) continue;
-        const auto state = static_cast<std::size_t>(row >> shift_);
-        const std::uint32_t ob = out_start_[state];
-        const std::uint32_t oe = out_start_[state + 1];
-        for (std::uint32_t o = ob; o < oe; ++o) {
-          const std::int32_t pid = out_ids_[o];
-          if (seen_epoch[static_cast<std::size_t>(pid)] != epoch &&
-              VerifyAt(data, i + 1, pid)) {
-            seen_epoch[static_cast<std::size_t>(pid)] = epoch;
-            on_new(pid);
-          }
-        }
+    ScanOutputs(data, [&](std::int32_t pid, std::size_t end) {
+      std::uint32_t& seen = seen_epoch[static_cast<std::size_t>(pid)];
+      if (seen != epoch && VerifyAt(data, end, pid)) {
+        seen = epoch;
+        on_new(pid);
       }
-      return;
-    }
-    std::int32_t state = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      state = Next(state, data[i]);
-      const std::uint32_t ob = out_start_[static_cast<std::size_t>(state)];
-      const std::uint32_t oe = out_start_[static_cast<std::size_t>(state) + 1];
-      for (std::uint32_t o = ob; o < oe; ++o) {
-        const std::int32_t pid = out_ids_[o];
-        if (seen_epoch[static_cast<std::size_t>(pid)] != epoch &&
-            VerifyAt(data, i + 1, pid)) {
-          seen_epoch[static_cast<std::size_t>(pid)] = epoch;
-          on_new(pid);
-        }
-      }
-    }
+    });
   }
-
-  /// True if any pattern occurs.
-  [[nodiscard]] bool MatchesAny(std::span<const std::uint8_t> data) const;
 
   [[nodiscard]] std::size_t PatternCount() const { return pattern_count_; }
   [[nodiscard]] std::size_t StateCount() const { return state_count_; }
-  /// States with an O(1) row: all of them in the class-compressed layout,
-  /// the hot subset in the fallback hybrid layout.
-  [[nodiscard]] std::size_t DenseStateCount() const {
-    return compact_ ? state_count_ : static_cast<std::size_t>(dense_count_);
-  }
-  [[nodiscard]] bool Compact() const { return compact_; }
   [[nodiscard]] std::size_t ClassCount() const { return nclasses_; }
   [[nodiscard]] bool Empty() const { return state_count_ == 0; }
 
   /// Total bytes across the flattened arrays (the scan working set).
   [[nodiscard]] std::size_t MemoryBytes() const;
 
-  /// Single DFA step (exposed for tests / the bench). Takes the raw input
-  /// byte: case folding, when active, is baked into the classmap (compact
-  /// layout) or the rows/edges (fallback layout) at Compile time, so the
-  /// hot loop never folds per byte.
-  [[nodiscard]] std::int32_t Next(std::int32_t state, std::uint8_t byte) const {
-    if (compact_) {
-      return static_cast<std::int32_t>(
-          table_[(static_cast<std::size_t>(state) << shift_) +
-                 classmap_[byte]] >>
-          shift_);
-    }
-    for (;;) {
-      if (state < dense_count_) {
-        return dense_[(static_cast<std::size_t>(state) << 8) | byte];
-      }
-      const std::uint32_t eb = edge_start_[static_cast<std::size_t>(state)];
-      const std::uint32_t ee = edge_start_[static_cast<std::size_t>(state) + 1];
-      for (std::uint32_t i = eb; i < ee; ++i) {
-        if (edge_bytes_[i] == byte) return edge_to_[i];
-      }
-      // Delta miss: this state's transition equals its failure state's.
-      // Fail depth strictly decreases and the root is dense, so this
-      // terminates.
-      state = fail_[static_cast<std::size_t>(state)];
+ private:
+  /// log2 of `class_count` rounded up to a power of two: the row stride.
+  [[nodiscard]] static constexpr std::uint32_t ShiftFor(
+      std::uint32_t class_count) {
+    std::uint32_t shift = 0;
+    while ((std::uint32_t{1} << shift) < class_count) ++shift;
+    return shift;
+  }
+
+  /// The one scan loop: walks `data` through the table and calls
+  /// `on_output(pid, end)` for every pattern output of every state with
+  /// outputs, where `end` is the offset just past the match. Candidate
+  /// filtering and case verification are the caller's.
+  template <typename OnOutput>
+  void ScanOutputs(std::span<const std::uint8_t> data,
+                   OnOutput&& on_output) const {
+    if (Empty()) return;
+    std::uint32_t row = 0;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      row = table_[row + classmap_[data[i]]];
+      if (row < out_boundary_row_) continue;
+      const auto state = static_cast<std::size_t>(row >> shift_);
+      const std::uint32_t ob = out_start_[state];
+      const std::uint32_t oe = out_start_[state + 1];
+      for (std::uint32_t o = ob; o < oe; ++o) on_output(out_ids_[o], i + 1);
     }
   }
 
- private:
   /// Fold-and-verify confirmation (see AhoCorasick): true unless `pid`
   /// needs case verification and the bytes at the match site differ from
   /// the original pattern text.
@@ -172,38 +136,22 @@ class DenseDfa {
     return true;
   }
 
-  // --- Class-compressed layout (compact_ == true) ---
   std::array<std::uint8_t, 256> classmap_{};  // raw byte -> class (fold baked)
   std::uint32_t nclasses_ = 0;
-  std::uint32_t shift_ = 0;  // log2 of the padded (pow2) class count
+  std::uint32_t shift_ = 0;  // ShiftFor(nclasses_)
   // Row-major, (1 << shift_) entries per state; each entry is the
   // successor state's row offset (id << shift_), pre-multiplied so the
   // scan's dependent chain is add + load.
   std::vector<std::uint32_t> table_;
-  std::uint32_t out_boundary_row_ = 0;  // out_boundary_ << shift_
-
-  // --- Fallback hybrid layout (compact_ == false) ---
-  // State ids are permuted dense-first: ids [0, dense_count_) index dense_
-  // rows directly; everything at or past dense_count_ is sparse.
-  std::int32_t dense_count_ = 0;
-  std::vector<std::int32_t> fail_;        // failure link
-  std::vector<std::uint32_t> edge_start_; // CSR into edge_bytes_/edge_to_
-  std::vector<std::uint8_t> edge_bytes_;  // sorted within each state
-  std::vector<std::int32_t> edge_to_;
-  std::vector<std::int32_t> dense_;       // row-major, 256 per dense state
-
-  // --- Shared ---
-  // First state id with outputs (states with outputs are permuted last in
-  // the compact layout; 0 in the fallback layout, where the CSR check
-  // runs on every state).
-  std::uint32_t out_boundary_ = 0;
+  // Row offset of the first state with outputs (states with outputs are
+  // permuted last).
+  std::uint32_t out_boundary_row_ = 0;
   std::vector<std::uint32_t> out_start_;  // CSR into out_ids_
   std::vector<std::int32_t> out_ids_;
-  // Fold-and-verify state (see AhoCorasick): when fold_ is set the
+  // Fold-and-verify state (see AhoCorasick): in a folding automaton the
   // transitions were compiled over folded bytes, and case-sensitive
   // pattern hits (verify_[pid] != 0) are confirmed against texts_[pid].
-  bool fold_ = false;
-  bool compact_ = false;
+  // Both stay empty when the automaton does not fold.
   std::vector<std::uint8_t> verify_;
   std::vector<std::string> texts_;
   std::size_t state_count_ = 0;

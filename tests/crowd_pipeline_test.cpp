@@ -20,10 +20,10 @@ struct PipelineWorld {
   devices::SmartPlug* wemo;
   learn::CrowdRepo repo;
 
-  PipelineWorld() {
+  explicit PipelineWorld(policy::Posture posture = core::MonitorPosture()) {
     wemo = dep.AddSmartPlug("wemo", "oven_power");  // SKU Wemo-Insight
     policy::FsmPolicy policy;
-    policy.SetDefault(core::MonitorPosture());
+    policy.SetDefault(std::move(posture));
     dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
     dep.controller().AttachCrowdRepo(&repo);
     dep.Start();
@@ -80,6 +80,32 @@ TEST(CrowdPipelineTest, AcceptedSignaturePatchesRunningUmboxes) {
   w.dep.RunFor(2 * kSecond);
   EXPECT_EQ(result, "ok");
   EXPECT_EQ(w.wemo->State(), "on");
+}
+
+TEST(CrowdPipelineTest, SpliceGuardsTheConfigEntry) {
+  // Posture configs are user text. Whatever its form, the crowd matcher
+  // must end up in front of the config's entry, or it never sees a packet.
+  for (const char* config : {
+           // Entry set by an `entry` line, not by declaration order.
+           "sig :: SignatureMatcher(rules=builtin)\n"
+           "count :: Counter()\n"
+           "entry count\n"
+           "count -> sig\n",
+           // No newline after the last line.
+           "count :: Counter()\n"
+           "sig :: SignatureMatcher(rules=builtin)\n"
+           "count -> sig"}) {
+    SCOPED_TRACE(config);
+    policy::Posture posture = core::MonitorPosture();
+    posture.umbox_config = config;
+    PipelineWorld w(std::move(posture));
+    EXPECT_EQ(w.SendRebootAbuse(), "unsupported");
+
+    w.PublishAndAccept();
+    EXPECT_GT(w.dep.controller().stats().crowd_rules_applied, 0u);
+    EXPECT_EQ(w.SendRebootAbuse(), "")
+        << "the spliced crowd rule must block the abuse";
+  }
 }
 
 TEST(CrowdPipelineTest, SignaturesAcceptedBeforeAttachAreLoaded) {

@@ -1,11 +1,14 @@
-// Property tests: the dense DFA, the node-based automaton and the naive
+// Property tests: the dense DFA (both its FindAll and the production
+// MarkMatchesEpoch scan), the node-based automaton and the naive
 // per-pattern scanner must agree match-for-match on adversarial pattern
 // sets — nocase, overlapping patterns, patterns that are prefixes/suffixes
-// of each other, empty payloads, and 0x00/0xFF payload bytes.
+// of each other, empty payloads, 0x00/0xFF payload bytes, and automatons
+// past 65,535 states.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,9 +39,21 @@ void ExpectSameMatches(const MatchList& got, const MatchList& want,
   }
 }
 
-/// Builds all three engines over the same pattern list and checks them
-/// against each other on `text`.
-void CheckThreeWay(const std::vector<std::pair<std::string, bool>>& patterns,
+/// Distinct pattern ids in `matches`, ascending.
+std::vector<std::int32_t> DistinctIds(const MatchList& matches) {
+  std::vector<std::int32_t> ids;
+  for (const auto& m : matches) ids.push_back(m.pattern_id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+/// Builds the node automaton and its dense DFA over `patterns` and checks
+/// both against the naive scanner on `text`: node FindAll/MarkMatches,
+/// dense FindAll (match offsets) and the production MarkMatchesEpoch scan
+/// over two consecutive epochs sharing one never-cleared mark array.
+/// Returns the automaton's state count.
+std::size_t CheckThreeWay(const std::vector<std::pair<std::string, bool>>& patterns,
                    const Bytes& text, const std::string& context) {
   AhoCorasick ac;
   NaiveMatcher naive;
@@ -47,35 +62,43 @@ void CheckThreeWay(const std::vector<std::pair<std::string, bool>>& patterns,
     naive.AddPattern(p, nocase);
   }
   ac.Build();
-  // Both compiled layouts: the class-compressed table (default) and the
-  // hybrid dense-row/delta-edge fallback (forced via compact_max_states=0).
   const DenseDfa dfa = DenseDfa::Compile(ac);
-  const DenseDfa hybrid = DenseDfa::Compile(ac, /*compact_max_states=*/0);
-  EXPECT_TRUE(dfa.Compact()) << context;
-  EXPECT_FALSE(hybrid.Compact()) << context;
 
   const MatchList want = Sorted(naive.FindAll(text));
   ExpectSameMatches(Sorted(ac.FindAll(text)), want, context + " [node]");
   ExpectSameMatches(Sorted(dfa.FindAll(text)), want, context + " [dense]");
-  ExpectSameMatches(Sorted(hybrid.FindAll(text)), want,
-                    context + " [hybrid]");
 
-  // MarkMatches must flag exactly the distinct pattern ids of FindAll.
+  // Node MarkMatches must flag exactly the distinct pattern ids.
+  const std::vector<std::int32_t> want_ids = DistinctIds(want);
   std::vector<bool> want_seen(ac.PatternCount(), false);
-  for (const auto& m : want) {
-    want_seen[static_cast<std::size_t>(m.pattern_id)] = true;
+  for (const std::int32_t pid : want_ids) {
+    want_seen[static_cast<std::size_t>(pid)] = true;
   }
   std::vector<bool> node_seen(ac.PatternCount(), false);
-  std::vector<bool> dense_seen(ac.PatternCount(), false);
-  std::vector<bool> hybrid_seen(ac.PatternCount(), false);
   ac.MarkMatches(text, node_seen);
-  dfa.MarkMatches(text, dense_seen);
-  hybrid.MarkMatches(text, hybrid_seen);
   EXPECT_EQ(node_seen, want_seen) << context;
-  EXPECT_EQ(dense_seen, want_seen) << context;
-  EXPECT_EQ(hybrid_seen, want_seen) << context;
-  EXPECT_EQ(dfa.MatchesAny(text), !want.empty()) << context;
-  EXPECT_EQ(hybrid.MatchesAny(text), !want.empty()) << context;
+
+  // MarkMatchesEpoch reports each distinct id exactly once per epoch and
+  // stamps exactly those ids; the second epoch must not be suppressed by
+  // the first epoch's marks.
+  std::vector<std::uint32_t> seen_epoch(ac.PatternCount(), 0);
+  for (std::uint32_t epoch = 1; epoch <= 2; ++epoch) {
+    std::vector<std::int32_t> reported;
+    dfa.MarkMatchesEpoch(text, seen_epoch, epoch,
+                         [&](std::int32_t pid) { reported.push_back(pid); });
+    std::sort(reported.begin(), reported.end());
+    const std::string at = context + " [epoch " + std::to_string(epoch) + "]";
+    EXPECT_EQ(reported, want_ids) << at;
+    for (std::size_t pid = 0; pid < seen_epoch.size(); ++pid) {
+      const std::uint32_t stamp = want_seen[pid] ? epoch : 0;
+      EXPECT_EQ(seen_epoch[pid], stamp) << at << " pid=" << pid;
+    }
+  }
+  EXPECT_EQ(dfa.StateCount(), ac.NodeCount()) << context;
+  EXPECT_LE(dfa.StateCount(), DenseDfa::MaxStates(static_cast<std::uint32_t>(
+                                  dfa.ClassCount())))
+      << context;
+  return dfa.StateCount();
 }
 
 TEST(DenseDfaTest, PrefixSuffixOverlapFamily) {
@@ -108,7 +131,9 @@ TEST(DenseDfaTest, EmptyAutomatonMatchesNothing) {
   const DenseDfa dfa = DenseDfa::Compile(ac);
   EXPECT_TRUE(dfa.Empty());
   EXPECT_TRUE(dfa.FindAll(ToBytes("anything")).empty());
-  EXPECT_FALSE(dfa.MatchesAny(ToBytes("anything")));
+  std::vector<std::uint32_t> seen_epoch;
+  dfa.MarkMatchesEpoch(ToBytes("anything"), seen_epoch, 1,
+                       [](std::int32_t) { ADD_FAILURE() << "empty DFA hit"; });
 }
 
 TEST(DenseDfaTest, NocaseTrieStaysLinear) {
@@ -126,6 +151,79 @@ TEST(DenseDfaTest, NocaseTrieStaysLinear) {
   const Bytes text = ToBytes("xxAaAabBbBCcCcDdDdyy");
   ExpectSameMatches(Sorted(dfa.FindAll(text)), Sorted(naive.FindAll(text)),
                     "nocase-linear");
+}
+
+TEST(DenseDfaTest, FoldedSinkClassLeadsToRoot) {
+  // Regression: with folding active and every byte 0x00-0x40 used by some
+  // pattern, the first unused byte is 'A' (folding keeps uppercase out of
+  // the trie). The sink class must still lead to the root; compiling its
+  // row from the folded 'a' made "Z" scan as "a" and report a false hit.
+  std::string low;
+  for (int b = 0x00; b <= 0x40; ++b) low += static_cast<char>(b);
+  const std::vector<std::pair<std::string, bool>> patterns = {{low, false},
+                                                              {"a", true}};
+  CheckThreeWay(patterns, ToBytes("Z"), "folded-sink");
+  CheckThreeWay(patterns, ToBytes("zAaZ"), "folded-sink-mixed");
+}
+
+TEST(DenseDfaTest, PastUint16StatesMatchesNaive) {
+  // More than 65,535 states, past uint16 state ids: the class-compressed
+  // table must hold them, since row entries are uint32 offsets. Long
+  // random patterns over a wide alphabet (letters in both cases plus 64
+  // high bytes) share almost no prefixes, so 1.5k patterns reach the size.
+  Rng rng(0x5eed);
+  std::vector<std::pair<std::string, bool>> patterns;
+  auto random_byte = [&rng]() -> char {
+    const auto roll = rng.NextBelow(116);
+    if (roll < 26) return static_cast<char>('a' + roll);
+    if (roll < 52) return static_cast<char>('A' + (roll - 26));
+    return static_cast<char>(0x80 + (roll - 52));
+  };
+  for (int p = 0; p < 1500; ++p) {
+    std::string pat;
+    for (int i = 0; i < 48; ++i) pat += random_byte();
+    patterns.emplace_back(std::move(pat), rng.NextBool(0.3));
+  }
+
+  // The text embeds whole patterns (some case-flipped, some with the last
+  // byte changed) between random runs, so scans reach deep states, hit,
+  // near-miss and exercise case verification.
+  Bytes text;
+  for (int chunk = 0; chunk < 40; ++chunk) {
+    for (int i = 0; i < 24; ++i) {
+      text.push_back(static_cast<std::uint8_t>(random_byte()));
+    }
+    std::string pat = patterns[rng.NextBelow(patterns.size())].first;
+    const auto roll = rng.NextBelow(3);
+    if (roll == 1) {
+      for (char& c : pat) {
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      }
+    } else if (roll == 2) {
+      pat.back() = random_byte();
+    }
+    for (const char c : pat) text.push_back(static_cast<std::uint8_t>(c));
+  }
+
+  EXPECT_GT(CheckThreeWay(patterns, text, "past-uint16"), 65535u);
+}
+
+TEST(DenseDfaTest, MaxStatesKeepsRowOffsetsInUint32) {
+  // Compile refuses any automaton past MaxStates: the last state's row
+  // offset (n - 1) << log2(padded class count) must fit in uint32.
+  EXPECT_EQ(DenseDfa::MaxStates(1), std::size_t{1} << 32);
+  EXPECT_EQ(DenseDfa::MaxStates(2), std::size_t{1} << 31);
+  EXPECT_EQ(DenseDfa::MaxStates(39), std::size_t{1} << 26);  // padded to 64
+  EXPECT_EQ(DenseDfa::MaxStates(64), std::size_t{1} << 26);
+  EXPECT_EQ(DenseDfa::MaxStates(65), std::size_t{1} << 25);
+  EXPECT_EQ(DenseDfa::MaxStates(256), std::size_t{1} << 24);
+  for (const std::uint32_t classes : {1u, 39u, 200u, 256u}) {
+    std::uint32_t shift = 0;
+    while ((1u << shift) < classes) ++shift;
+    const std::size_t last = DenseDfa::MaxStates(classes) - 1;
+    EXPECT_LE(last << shift, std::size_t{UINT32_MAX}) << classes;
+    EXPECT_GT((last + 1) << shift, std::size_t{UINT32_MAX}) << classes;
+  }
 }
 
 class DenseDfaPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

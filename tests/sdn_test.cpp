@@ -1,6 +1,9 @@
 // Tests for flow tables, switch forwarding semantics, and tunneling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "dataplane/cluster.h"
 #include "proto/frame.h"
 #include "sdn/switch.h"
 
@@ -263,6 +266,58 @@ TEST(SwitchTest, TunnelDivertAndReturn) {
   auto inner = proto::ParseFrame(peer_sink.packets[0]->data());
   ASSERT_TRUE(inner.has_value());
   EXPECT_EQ(ToString(inner->payload), "diverted");
+}
+
+TEST(SwitchTest, TunnelReturnKeepsCreatedAtAndTrace) {
+  // A frame diverted through a real µmbox host and returned by the origin
+  // switch must reach its destination with the creation time it was
+  // injected with and the hops it took before the tunnel.
+  SwitchRig rig;
+  const int device_port = rig.AddPort();
+  const int peer_port = rig.AddPort();
+  rig.links.push_back(std::make_unique<net::Link>(rig.sim, net::LinkConfig{}));
+  const int cluster_port = rig.sw.AttachLink(rig.links.back().get(), 0);
+  dataplane::UmboxHost host(1, rig.sim);
+  host.ConnectUplink(rig.links.back().get(), 1);
+  dataplane::ElementContext ctx;
+  ctx.sim = &rig.sim;
+  dataplane::UmboxSpec spec;
+  spec.id = 55;
+  spec.config_text = "c :: Counter()\n";
+  std::string error;
+  ASSERT_NE(host.Launch(spec, ctx, &error), nullptr) << error;
+  rig.sim.RunFor(kSecond);  // boot
+
+  const auto device_ip = Ipv4Address(10, 0, 0, 5);
+  rig.sw.SetMacPort(MacAddress::FromId(2), peer_port);
+  FlowEntry divert;
+  divert.priority = 100;
+  divert.match = FlowMatch::FromIp(device_ip);
+  divert.match.in_port = device_port;
+  divert.actions = {FlowAction::Tunnel(/*umbox=*/55, cluster_port)};
+  rig.sw.flow_table().Install(divert);
+
+  constexpr SimTime kCreatedAt = 123 * kMillisecond;
+  auto pkt = net::MakePacket(
+      UdpWire(device_ip, Ipv4Address(10, 0, 0, 9), 5009, "timed"));
+  pkt->created_at = kCreatedAt;
+  pkt->Trace("device");
+  rig.links[static_cast<std::size_t>(device_port)]->Send(1, std::move(pkt));
+  rig.sim.Run();
+
+  EXPECT_EQ(rig.sw.stats().tunneled, 1u);
+  EXPECT_EQ(rig.sw.stats().decapsulated, 1u);
+  auto& peer_sink = *rig.sinks[static_cast<std::size_t>(peer_port)];
+  ASSERT_EQ(peer_sink.packets.size(), 1u);
+  const net::Packet& delivered = *peer_sink.packets[0];
+  EXPECT_EQ(delivered.created_at, kCreatedAt);
+  if (net::Packet::TracingEnabled()) {
+    const auto& trace = delivered.trace();
+    ASSERT_FALSE(trace.empty());
+    EXPECT_EQ(trace.front(), "device");
+    EXPECT_GE(std::count(trace.begin(), trace.end(), "switch:7"), 2)
+        << "both the diverting and the returning pass through the switch";
+  }
 }
 
 TEST(SwitchTest, MalformedFrameDropped) {

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <limits>
 
 namespace iotsec {
 
@@ -67,9 +68,11 @@ bool ParseUint(std::string_view s, std::uint64_t& out) {
   std::uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(c - '0');
-    if (next < v) return false;  // overflow
-    v = next;
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) {
+      return false;  // v * 10 + d would wrap
+    }
+    v = v * 10 + d;
   }
   out = v;
   return true;

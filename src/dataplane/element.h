@@ -68,6 +68,10 @@ enum class ElementRole : std::uint8_t {
 /// Tee's output arity comes from its `ports` config key, not the table.
 inline constexpr int kVariadicOutPorts = -1;
 
+/// Most ports any element has on either side: a graph's port indices are
+/// 0..kMaxPorts-1, and Tee's `ports` is 1..kMaxPorts.
+inline constexpr int kMaxPorts = 16;
+
 /// Static metadata for one element type: the single source of truth the
 /// factory and the µmbox-graph linter share.
 struct ElementTypeInfo {

@@ -140,7 +140,6 @@ class SignatureMatcher final : public Element {
   using Element::Element;
   bool Configure(const ConfigMap& config, std::string* error) override;
   void Push(net::PacketPtr pkt, int in_port) override;
-  [[nodiscard]] const sig::RuleSet& rules() const { return rules_; }
 
   /// Rollout fast path: swaps in an already-compiled shared ruleset with
   /// no parse/compile (pointer swap). nullptr resets to the empty set —

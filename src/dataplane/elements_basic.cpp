@@ -16,8 +16,11 @@ bool Tee::Configure(const ConfigMap& config, std::string* error) {
   const auto it = config.find("ports");
   if (it != config.end()) {
     std::uint64_t v = 0;
-    if (!ParseUint(it->second, v) || v < 1 || v > 16) {
-      if (error) *error = "Tee: ports must be 1..16";
+    if (!ParseUint(it->second, v) || v < 1 || v > kMaxPorts) {
+      if (error) {
+        *error = "Tee: ports must be 1..";
+        *error += std::to_string(kMaxPorts);
+      }
       return false;
     }
     ports_ = static_cast<int>(v);

@@ -58,6 +58,9 @@ void StatefulFirewall::Push(net::PacketPtr pkt, int in_port) {
 
 // ------------------------------------------------------ SignatureMatcher
 
+// Reset pays the compile here, off the packet path. The shared cache makes
+// it a pointer grab whenever any other µmbox already carries the same
+// ruleset — a crowd push to M same-SKU µmboxes compiles once.
 bool SignatureMatcher::Configure(const ConfigMap& config, std::string* error) {
   const auto it = config.find("rules");
   if (it == config.end() || it->second == "builtin") {
@@ -69,12 +72,8 @@ bool SignatureMatcher::Configure(const ConfigMap& config, std::string* error) {
       if (error) *error = "SignatureMatcher: " + errors.front();
       return false;
     }
-    rules_.Reset(std::move(parsed));
+    rules_.Reset(parsed);
   }
-  // Pay the compile here, off the packet path. The shared cache makes this
-  // a pointer grab whenever any other µmbox already carries the same
-  // ruleset — a crowd push to M same-SKU µmboxes compiles once.
-  rules_.EnsureCompiled();
   return true;
 }
 

@@ -28,7 +28,7 @@ bool ParseHop(std::string_view text, ChainHop& hop, std::string* error,
       return false;
     }
     std::uint64_t p = 0;
-    if (!ParseUint(Trim(s.substr(1, close - 1)), p)) {
+    if (!ParseUint(Trim(s.substr(1, close - 1)), p) || p >= kMaxPorts) {
       if (error) *error = "bad input port";
       if (bad_token) *bad_token = s.substr(0, close + 1);
       return false;
@@ -44,7 +44,8 @@ bool ParseHop(std::string_view text, ChainHop& hop, std::string* error,
       return false;
     }
     std::uint64_t p = 0;
-    if (!ParseUint(Trim(s.substr(open + 1, s.size() - open - 2)), p)) {
+    if (!ParseUint(Trim(s.substr(open + 1, s.size() - open - 2)), p) ||
+        p >= kMaxPorts) {
       if (error) *error = "bad output port";
       if (bad_token) *bad_token = s.substr(open);
       return false;

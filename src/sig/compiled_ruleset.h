@@ -67,7 +67,6 @@ class CompiledRuleset {
                                      EvalScratch& scratch) const;
 
   [[nodiscard]] const std::vector<Rule>& rules() const { return rules_; }
-  [[nodiscard]] std::size_t RuleCount() const { return rules_.size(); }
   [[nodiscard]] const DenseDfa& dfa() const { return dfa_; }
 
   /// Process-unique identity of this compile (monotonic, never reused —

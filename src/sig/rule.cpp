@@ -1,6 +1,7 @@
 #include "sig/rule.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/strings.h"
 #include "proto/dns.h"
@@ -260,7 +261,10 @@ std::optional<Rule> ParseRule(std::string_view line, std::string* error) {
       rule.msg = *v;
     } else if (key == "sid") {
       std::uint64_t v = 0;
-      if (!ParseUint(Trim(value), v)) return set_error("bad sid");
+      if (!ParseUint(Trim(value), v) ||
+          v > std::numeric_limits<std::uint32_t>::max()) {
+        return set_error("bad sid");
+      }
       rule.sid = static_cast<std::uint32_t>(v);
     } else if (key == "content") {
       auto v = Unquote(value);

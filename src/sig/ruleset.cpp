@@ -34,44 +34,14 @@ std::string FoldedPatternKey(const Rule& rule) {
 
 }  // namespace
 
-void RuleSet::Reset(std::vector<Rule> rules) {
-  rules_ = std::move(rules);
-  compiled_.reset();
-  dirty_ = true;
-}
-
-void RuleSet::Add(Rule rule) {
-  rules_.push_back(std::move(rule));
-  dirty_ = true;
-}
-
-void RuleSet::Add(std::vector<Rule> rules) {
-  rules_.insert(rules_.end(), std::make_move_iterator(rules.begin()),
-                std::make_move_iterator(rules.end()));
-  dirty_ = true;
-}
-
-void RuleSet::EnsureCompiled() {
-  if (!dirty_ && compiled_ != nullptr) return;
+void RuleSet::Reset(const std::vector<Rule>& rules) {
   // The old compile (if any) stays alive for anyone still holding it —
   // in-flight evaluations and sibling µmboxes are unaffected.
-  compiled_ = CompiledRulesetCache::Instance().GetOrCompile(rules_);
-  dirty_ = false;
-}
-
-void RuleSet::AdoptCompiled(
-    std::shared_ptr<const CompiledRuleset> compiled) {
-  if (compiled == nullptr) {
-    Reset({});
-    return;
-  }
-  rules_ = compiled->rules();
-  compiled_ = std::move(compiled);
-  dirty_ = false;
+  compiled_ = CompiledRulesetCache::Instance().GetOrCompile(rules);
 }
 
 RuleVerdict RuleSet::Evaluate(const proto::ParsedFrame& frame) {
-  EnsureCompiled();
+  if (compiled_ == nullptr) return {};
   return compiled_->Evaluate(frame, scratch_);
 }
 

@@ -16,6 +16,7 @@ using dataplane::Element;
 using dataplane::ElementRole;
 using dataplane::ElementTypeInfo;
 using dataplane::FindElementType;
+using dataplane::kMaxPorts;
 using dataplane::kVariadicOutPorts;
 using dataplane::MboxGraph;
 
@@ -96,7 +97,9 @@ int ArityOf(const Element& e, const std::map<std::string, Decl>& decls) {
     if (const auto cfg = it->second.config.find("ports");
         cfg != it->second.config.end()) {
       std::uint64_t v = 0;
-      if (ParseUint(cfg->second, v) && v >= 1) arity = static_cast<int>(v);
+      if (ParseUint(cfg->second, v) && v >= 1 && v <= kMaxPorts) {
+        arity = static_cast<int>(v);
+      }
     }
   }
   return arity;

@@ -1,6 +1,8 @@
 // Tests for common utilities and the discrete-event simulator.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/bytes.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -98,6 +100,11 @@ TEST(StringsTest, ParseUint) {
   EXPECT_FALSE(ParseUint("12x", v));
   EXPECT_FALSE(ParseUint("-3", v));
   EXPECT_FALSE(ParseUint("99999999999999999999999", v));  // overflow
+  // A wrap that lands above the previous value: 3e19 mod 2^64.
+  EXPECT_FALSE(ParseUint("30000000000000000000", v));
+  EXPECT_FALSE(ParseUint("18446744073709551616", v));  // UINT64_MAX + 1
+  EXPECT_TRUE(ParseUint("18446744073709551615", v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(BytesTest, WriterReaderRoundTrip) {

@@ -125,6 +125,35 @@ TEST(GraphTest, RejectsBadConfigs) {
             nullptr);  // element config validation propagates
 }
 
+TEST(GraphTest, RejectsOutOfRangePorts) {
+  Harness h;
+  const auto ctx = h.Ctx();
+  const std::string decls = "a :: Counter()\nb :: Counter()\n";
+  // Unbounded, 2^32 - 1 narrows to port -1 (a write before outputs_[0])
+  // and 10^9 asks for a billion wires; each is diagnosed at its token.
+  for (const char* port : {"4294967295", "1000000000", "16"}) {
+    GraphDiag diag;
+    EXPECT_EQ(MboxGraph::Build(decls + "a [" + port + "] -> b\n", ctx, &diag),
+              nullptr);
+    EXPECT_EQ(diag.message, "bad output port") << port;
+    EXPECT_EQ(diag.line, 3) << port;
+    EXPECT_EQ(diag.col, 3) << port;
+
+    EXPECT_EQ(MboxGraph::Build(decls + "a -> [" + port + "] b\n", ctx, &diag),
+              nullptr);
+    EXPECT_EQ(diag.message, "bad input port") << port;
+  }
+  // The largest index in range still builds.
+  std::string error;
+  EXPECT_NE(MboxGraph::Build(decls + "a [15] -> [15] b\n", ctx, &error),
+            nullptr)
+      << error;
+  // Tee's arity shares the bound.
+  EXPECT_NE(MboxGraph::Build("t :: Tee(ports=16)\n", ctx, &error), nullptr);
+  EXPECT_EQ(MboxGraph::Build("t :: Tee(ports=17)\n", ctx, &error), nullptr);
+  EXPECT_NE(error.find("ports must be 1..16"), std::string::npos) << error;
+}
+
 TEST(ElementTest, DiscardDropsEverything) {
   Harness h;
   auto graph = h.BuildGraph("d :: Discard()\n");

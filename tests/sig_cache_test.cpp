@@ -58,10 +58,7 @@ Bytes TcpPayloadFrame(std::string_view payload) {
 TEST_F(SigCacheTest, IdenticalRuleListsShareOneCompile) {
   constexpr std::size_t kUmboxes = 8;
   std::vector<RuleSet> fleet(kUmboxes);
-  for (auto& rs : fleet) {
-    rs.Reset(BuiltinRules());
-    rs.EnsureCompiled();
-  }
+  for (auto& rs : fleet) rs.Reset(BuiltinRules());
   EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
   EXPECT_EQ(obs::M().sig_cache_misses->Value(), 1u);
   EXPECT_EQ(obs::M().sig_cache_hits->Value(), kUmboxes - 1);
@@ -73,8 +70,6 @@ TEST_F(SigCacheTest, IdenticalRuleListsShareOneCompile) {
 TEST_F(SigCacheTest, DifferingRuleListsDoNotShare) {
   RuleSet a(SomeRules("alpha"));
   RuleSet b(SomeRules("beta"));
-  a.EnsureCompiled();
-  b.EnsureCompiled();
   EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
   EXPECT_EQ(obs::M().sig_cache_hits->Value(), 0u);
   EXPECT_NE(a.compiled().get(), b.compiled().get());
@@ -90,9 +85,7 @@ TEST_F(SigCacheTest, ReplacementLeavesInFlightEvaluationsIntact) {
   // the RuleSet to a new ruleset.
   std::shared_ptr<const CompiledRuleset> old_compile = rs.compiled();
   rs.Reset(SomeRules("other"));
-  EXPECT_TRUE(rs.CompilePending());
   EXPECT_FALSE(rs.Evaluate(MustParse(hit_wire)).Matched());  // new rules
-  EXPECT_FALSE(rs.CompilePending());
 
   // The old compile still works, unchanged, for whoever kept it.
   EvalScratch scratch;
@@ -103,66 +96,70 @@ TEST_F(SigCacheTest, ReplacementLeavesInFlightEvaluationsIntact) {
 TEST_F(SigCacheTest, ExpiredEntriesRecompile) {
   {
     RuleSet rs(SomeRules("gone"));
-    rs.EnsureCompiled();
     EXPECT_EQ(CompiledRulesetCache::Instance().LiveEntryCount(), 1u);
   }
   // Last user gone: the weak entry is dead and a fresh request recompiles.
   RuleSet again(SomeRules("gone"));
-  again.EnsureCompiled();
   EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
   EXPECT_EQ(obs::M().sig_cache_expired->Value(), 1u);
   EXPECT_EQ(obs::M().sig_cache_hits->Value(), 0u);
 }
 
-TEST_F(SigCacheTest, DeferredAndBatchedAddCompileOnce) {
-  auto rules = ParseRules(
-      "alert tcp any any -> any any (sid:1; content:\"one\"; )\n"
-      "alert tcp any any -> any any (sid:2; content:\"two\"; )\n"
-      "alert tcp any any -> any any (sid:3; content:\"three\"; )\n");
-  ASSERT_EQ(rules.size(), 3u);
+TEST_F(SigCacheTest, AdoptCompiledSwapsTheVerdictWithoutCompiling) {
+  const Bytes wire = TcpPayloadFrame("xx needle xx");
+  RuleSet rs(SomeRules("needle"));
+  const auto needle = rs.compiled();
+  const auto other =
+      CompiledRulesetCache::Instance().GetOrCompile(SomeRules("other"));
+  ASSERT_EQ(obs::M().sig_compiles->Value(), 2u);
 
-  RuleSet rs;
-  for (const auto& rule : rules) rs.Add(rule);  // three single Adds
-  EXPECT_TRUE(rs.CompilePending());
-  EXPECT_EQ(obs::M().sig_compiles->Value(), 0u);  // nothing compiled yet
+  // Adopting another compile is a pointer swap: the verdict follows the
+  // adopted rules and nothing is compiled.
+  rs.AdoptCompiled(other);
+  EXPECT_EQ(rs.compiled().get(), other.get());
+  EXPECT_FALSE(rs.Evaluate(MustParse(wire)).Matched());
+  rs.AdoptCompiled(needle);
+  EXPECT_TRUE(rs.Evaluate(MustParse(wire)).Matched());
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
 
-  const Bytes wire = TcpPayloadFrame("one and two and three");
-  EXPECT_EQ(rs.Evaluate(MustParse(wire)).matched_sids.size(), 3u);
-  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);  // one compile for the batch
-
-  RuleSet batched;
-  batched.Add(rules);  // vector overload
-  batched.EnsureCompiled();
-  EXPECT_EQ(batched.RuleCount(), 3u);
-  // Same rule list -> served from cache, still one compile total.
-  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
-  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 1u);
+  // nullptr is the empty ruleset, as is a default-constructed RuleSet:
+  // both pass the frame the old ruleset matched.
+  rs.AdoptCompiled(nullptr);
+  EXPECT_EQ(rs.compiled(), nullptr);
+  const RuleVerdict emptied = rs.Evaluate(MustParse(wire));
+  EXPECT_FALSE(emptied.Matched());
+  EXPECT_FALSE(emptied.ShouldBlock());
+  RuleSet fresh;
+  EXPECT_FALSE(fresh.Evaluate(MustParse(wire)).Matched());
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
 }
 
 TEST_F(SigCacheTest, ScratchRebindsWhenAllocatorReusesCompileAddress) {
   // Regression: EvalScratch used to bind to the compile's raw address.
-  // RuleSet::Reset frees the old compile before EnsureCompiled allocates
-  // the next one, so the allocator can place the successor at the same
-  // address (same size class); a stale address binding then passed and
-  // left the epoch/content-hit arrays sized for the *old* ruleset —
-  // out-of-bounds writes when the new ruleset is larger. Binding is now
-  // by process-unique compile id, so this holds regardless of where the
+  // When the old compile is freed before its successor is built, the
+  // allocator can place the successor at the same address (same size
+  // class); a stale address binding then passed and left the
+  // epoch/content-hit arrays sized for the *old* ruleset — out-of-bounds
+  // writes when the new ruleset is larger. Binding is now by
+  // process-unique compile id, so this holds regardless of where the
   // allocator puts the successor; the ASan job proves no OOB.
   RuleSet rs(SomeRules("tiny"));
   const Bytes wire = TcpPayloadFrame("tiny and one and two and three");
   EXPECT_EQ(rs.Evaluate(MustParse(wire)).matched_sids.size(), 1u);  // binds
 
-  // Grow the ruleset many times over; each Reset frees the previous
-  // compile first, inviting address reuse.
-  auto grown = ParseRules(
+  // Grow the ruleset; dropping the old compile first (it is the only
+  // holder) invites address reuse for the successor.
+  const auto grown = ParseRules(
       "alert tcp any any -> any any (sid:1; content:\"one\"; )\n"
       "alert tcp any any -> any any (sid:2; content:\"two\"; )\n"
       "alert tcp any any -> any any (sid:3; content:\"three\"; )\n");
+  rs.AdoptCompiled(nullptr);
   rs.Reset(grown);
   EXPECT_EQ(rs.Evaluate(MustParse(wire)).matched_sids.size(), 3u);
 
   // And back down: a smaller successor must not inherit oversized arrays
   // with stale marks (silently wrong verdicts).
+  rs.AdoptCompiled(nullptr);
   rs.Reset(SomeRules("tiny"));
   EXPECT_EQ(rs.Evaluate(MustParse(wire)).matched_sids.size(), 1u);
 }
@@ -226,8 +223,6 @@ TEST_F(SigCacheTest, CrowdAcceptPrewarmsTheCache) {
   for (const auto& sig : accepted) pushed.push_back(sig.rule);
   RuleSet umbox_a(pushed);
   RuleSet umbox_b(pushed);
-  umbox_a.EnsureCompiled();
-  umbox_b.EnsureCompiled();
   EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
   EXPECT_EQ(obs::M().sig_cache_hits->Value(), 2u);  // both µmbox loads hit
   EXPECT_EQ(umbox_a.compiled().get(), umbox_b.compiled().get());

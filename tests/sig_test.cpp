@@ -144,6 +144,10 @@ TEST(RuleParseTest, RejectsMalformed) {
   EXPECT_FALSE(ParseRule("alert tcp any any -> any any (content:\"|zz|\";)", &error));
   EXPECT_FALSE(ParseRule("alert tcp any any -> any 99999 (sid:1;)", &error));
   EXPECT_FALSE(ParseRule("alert tcp any any -> any any (nocase;)", &error));
+  // 2^32 + 1 would truncate to sid 1 and alias another rule's sid.
+  EXPECT_FALSE(ParseRule("alert tcp any any -> any any (sid:4294967297;)",
+                         &error));
+  EXPECT_EQ(error, "bad sid");
   // Comments and blanks: nullopt with no error.
   EXPECT_FALSE(ParseRule("# comment", &error));
   EXPECT_TRUE(error.empty());

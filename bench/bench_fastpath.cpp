@@ -1,10 +1,10 @@
-// Fast-path microbenchmark: microflow cache, parse-once headers, pooled
-// packets and gated tracing, measured in isolation and end to end.
+// Fast-path microbenchmark: microflow cache, parse-once headers and pooled
+// packets, measured in isolation and end to end.
 //
-// The headline number backs the fast-path PR's acceptance criterion: on a
+// The headline number is the fast path's acceptance criterion: on a
 // cache-friendly steady-state workload, the full fast path must deliver
-// >= 2x the packets/sec of the pre-change path (priority-ordered linear
-// scan, per-hop re-parse, fresh allocations, always-on tracing).
+// >= 2x the packets/sec of the pre-fast-path pipeline (priority-ordered
+// linear scan, fresh allocations).
 //
 // Emits machine-readable BENCH_fastpath.json (in the working directory)
 // so the perf trajectory is tracked across PRs.
@@ -105,22 +105,20 @@ int main() {
   const std::size_t kRules = 512;
   const std::size_t kFlows = 64;
   std::vector<Row> rows;
-  auto add = [&](std::string name, bool cache, bool trace, bool pool) {
+  auto add = [&](std::string name, bool cache, bool pool) {
     Row row;
     row.name = std::move(name);
     row.cfg.rules = kRules;
     row.cfg.flows = kFlows;
     row.cfg.microflow = cache;
-    row.cfg.tracing = trace;
     row.cfg.pooling = pool;
     row.result = bench::RunFastPathWorkload(row.cfg);
     rows.push_back(std::move(row));
   };
-  // Pre-change path: linear scan every packet, tracing on, no pooling.
-  add("baseline_prechange", /*cache=*/false, /*trace=*/true, /*pool=*/false);
-  add("cache_only", /*cache=*/true, /*trace=*/true, /*pool=*/false);
-  add("cache_notrace", /*cache=*/true, /*trace=*/false, /*pool=*/false);
-  add("fastpath_full", /*cache=*/true, /*trace=*/false, /*pool=*/true);
+  // Pre-change path: linear scan every packet, no pooling.
+  add("baseline_prechange", /*cache=*/false, /*pool=*/false);
+  add("cache_only", /*cache=*/true, /*pool=*/false);
+  add("fastpath_full", /*cache=*/true, /*pool=*/true);
 
   std::printf("\n-- switch pipeline, %zu rules, %zu-flow working set --\n",
               kRules, kFlows);

@@ -27,7 +27,7 @@
 //   * federated sync+push digest bit-identical across {1, 2, 8} shards
 //     (HARD — determinism is never relaxed)
 //   * total wall clock under budget — relaxed when IOTSEC_BENCH_LAX_PERF
-//     is set (CI shared runners)
+//     is on (lax_perf.h; CI shared runners)
 //
 // Emits BENCH_federation.json; exit 1 on any hard-gate failure.
 #include <chrono>
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "lax_perf.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "control/delta_sync.h"
@@ -346,8 +347,7 @@ std::string Hex(std::uint64_t v) {
 }  // namespace
 
 int main() {
-  net::SetPacketTracing(false);
-  const bool lax_perf = std::getenv("IOTSEC_BENCH_LAX_PERF") != nullptr;
+  const bool lax_perf = bench::LaxPerf();
   const auto bench_start = std::chrono::steady_clock::now();
 
   struct Row {

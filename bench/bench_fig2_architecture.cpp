@@ -199,11 +199,9 @@ int main() {
   fp_cfg.rules = 256;
   fp_cfg.packets = 100000;
   fp_cfg.microflow = false;
-  fp_cfg.tracing = true;
   fp_cfg.pooling = false;
   const auto fp_slow = bench::RunFastPathWorkload(fp_cfg);
   fp_cfg.microflow = true;
-  fp_cfg.tracing = false;
   fp_cfg.pooling = true;
   const auto fp_fast = bench::RunFastPathWorkload(fp_cfg);
   std::printf("linear scan path   : %.0f pkts/s\n", fp_slow.pps);

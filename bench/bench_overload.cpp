@@ -21,7 +21,7 @@
 //   * admission decision digest bit-identical across {1, 2, 8} shards
 //     at 2x + faults (HARD — determinism is never relaxed)
 //   * total wall clock under budget — relaxed when IOTSEC_BENCH_LAX_PERF
-//     is set (CI shared runners)
+//     is on (lax_perf.h; CI shared runners)
 //
 // Emits BENCH_overload.json; exit 1 on any hard-gate failure.
 #include <chrono>
@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "lax_perf.h"
 #include "core/iotsec.h"
-#include "net/packet.h"
 #include "obs/obs.h"
 
 using namespace iotsec;
@@ -182,8 +182,7 @@ const char* ArmName(control::AdmissionMode mode) {
 }  // namespace
 
 int main() {
-  net::SetPacketTracing(false);
-  const bool lax_perf = std::getenv("IOTSEC_BENCH_LAX_PERF") != nullptr;
+  const bool lax_perf = bench::LaxPerf();
   const auto bench_start = std::chrono::steady_clock::now();
 
   const std::vector<Cell> cells = {

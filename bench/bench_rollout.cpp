@@ -32,7 +32,7 @@
 //     canary cohort only, zero devices left on it (HARD)
 //   * decision digest bit-identical across {1, 2, 8} shards (HARD)
 //   * total wall clock under budget — relaxed when IOTSEC_BENCH_LAX_PERF
-//     is set (CI shared runners)
+//     is on (lax_perf.h; CI shared runners)
 //
 // Emits BENCH_rollout.json; exit 1 on any hard-gate failure.
 #include <chrono>
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "lax_perf.h"
 #include "core/iotsec.h"
 #include "rollout/coordinator.h"
 #include "rollout/manifest.h"
@@ -288,8 +289,7 @@ ShardResult RunDeployment(int shards) {
 }  // namespace
 
 int main() {
-  net::SetPacketTracing(false);
-  const bool lax_perf = std::getenv("IOTSEC_BENCH_LAX_PERF") != nullptr;
+  const bool lax_perf = bench::LaxPerf();
   const auto bench_start = std::chrono::steady_clock::now();
 
   std::printf("== Part A: distribution cost, %d receivers ==\n", kReceivers);

@@ -14,8 +14,8 @@
 //   * Throughput: >= 2.5x packets/sec at 4 shards vs 1 shard on the
 //     largest swept cell. Relaxed to a sanity floor when the machine
 //     cannot parallelize (hardware_concurrency() < 4) or when
-//     IOTSEC_BENCH_LAX_PERF is set (CI shared runners); the measured
-//     ratio is recorded in the JSON either way.
+//     IOTSEC_BENCH_LAX_PERF is on (lax_perf.h; CI shared runners); the
+//     measured ratio is recorded in the JSON either way.
 //
 // IOTSEC_BENCH_SCALE_SMALL trims the sweep to {1k, 10k} devices for CI.
 #include <cstdio>
@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "lax_perf.h"
 #include "core/sharded_fleet.h"
-#include "net/packet.h"
 
 using namespace iotsec;
 
@@ -53,10 +53,8 @@ std::string Hex(std::uint64_t v) {
 }  // namespace
 
 int main() {
-  net::SetPacketTracing(false);
-
   const bool small = std::getenv("IOTSEC_BENCH_SCALE_SMALL") != nullptr;
-  const bool lax_perf = std::getenv("IOTSEC_BENCH_LAX_PERF") != nullptr;
+  const bool lax_perf = bench::LaxPerf();
   const unsigned cores = std::thread::hardware_concurrency();
 
   std::vector<Cell> cells;

@@ -26,7 +26,6 @@ struct FastPathConfig {
   std::size_t flows = 64;      // distinct flows in the working set
   std::size_t packets = 200000;
   bool microflow = true;       // exact-match cache in front of the scan
-  bool tracing = false;        // per-hop trace appends
   bool pooling = true;         // pooled packet allocation
 };
 
@@ -48,7 +47,6 @@ inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
   sim::Simulator sim;
   sdn::Switch sw(1, sim, sdn::Switch::MissBehavior::kDrop);
   sw.SetMicroflowEnabled(cfg.microflow);
-  net::SetPacketTracing(cfg.tracing);
   net::PacketPool::Global().SetEnabled(cfg.pooling);
 
   net::LinkConfig link_cfg;
@@ -109,8 +107,7 @@ inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
   }
   const auto stop = std::chrono::steady_clock::now();
 
-  // Restore process-wide defaults for whoever runs next.
-  net::SetPacketTracing(true);
+  // Restore the process-wide default for whoever runs next.
   net::PacketPool::Global().SetEnabled(true);
 
   FastPathResult result;

@@ -35,7 +35,6 @@ void PerimeterGateway::Receive(net::PacketPtr pkt, int port) {
     return;
   }
   tracker_.Update(*frame, now);
-  pkt->Trace("gateway");
   if (lan_ != nullptr) lan_->Send(lan_end_, std::move(pkt));
 }
 

@@ -147,7 +147,6 @@ void UmboxHost::Receive(net::PacketPtr pkt, int port) {
   });
   auto inner = net::MakePacket(std::move(decap->inner));
   inner->created_at = pkt->created_at;
-  inner->CopyTraceFrom(*pkt);
   box->Process(std::move(inner));
 }
 
@@ -164,7 +163,6 @@ void UmboxHost::ReturnFrame(UmboxId vni, SwitchId origin,
                          net::MacAddress::Broadcast(), th, inner->data());
   auto pkt = net::MakePacket(std::move(outer));
   pkt->created_at = inner->created_at;
-  pkt->CopyTraceFrom(*inner);
   uplink_->Send(uplink_end_, std::move(pkt));
 }
 

@@ -76,9 +76,6 @@ void Umbox::Process(net::PacketPtr pkt) {
         obs::M().dp_packets->Inc();
         shard_packets_->Inc();
       }
-      if (net::Packet::TracingEnabled()) {
-        pkt->Trace("umbox:" + std::to_string(spec_.id));
-      }
       // Whole-chain latency: one span around the graph walk covers every
       // element the frame traverses (sampling off = one branch).
       OBS_SPAN(obs::M().dp_chain_ns);
@@ -132,9 +129,6 @@ void Umbox::DrainBootQueue() {
     boot_queue_.pop_front();
     if (obs::Enabled()) obs::M().dp_boot_queue->Add(-1);
     ++stats_.processed;
-    if (net::Packet::TracingEnabled()) {
-      pkt->Trace("umbox:" + std::to_string(spec_.id));
-    }
     graph_->Inject(std::move(pkt));
   }
 }

@@ -4,7 +4,7 @@
 
 namespace iotsec::net {
 
-void SetPacketTracing(bool enabled) { Packet::tracing_enabled_ = enabled; }
+void SetPacketTracing(bool /*enabled*/) {}
 
 namespace {
 thread_local PacketPool* t_bound_pool = nullptr;
@@ -56,8 +56,8 @@ PacketPtr PacketPool::Clone(const Packet& src) {
   std::unique_ptr<Packet> pkt = std::move(free_.back());
   free_.pop_back();
   PublishOccupancy();
-  // Assign (rather than copy-construct) so the recycled byte/trace
-  // capacity is reused for the copy.
+  // Assign (rather than copy-construct) so the recycled byte capacity is
+  // reused for the copy.
   *pkt = src;
   return Wrap(std::move(pkt));
 }
@@ -73,7 +73,7 @@ void PacketPool::Release(Packet* pkt) {
     delete pkt;
     return;
   }
-  if (!enabled_ || free_.size() >= max_free_) {
+  if (!enabled_ || free_.size() >= kMaxFree) {
     delete pkt;
     return;
   }

@@ -1,29 +1,26 @@
 // The unit of data exchanged on the simulated network.
 //
-// A Packet owns its raw bytes (the serialized Ethernet frame) plus
-// simulation metadata: where it entered the network, creation time, and a
-// trace of the elements it traversed (used by tests and the enforcement
-// benches to verify steering).
+// A Packet is three things: its raw bytes (the serialized Ethernet frame,
+// immutable once the packet exists), its creation time, and a parse-once
+// header cache. Nothing else rides along: forwarding state lives in the
+// elements that handle the packet, not on it.
 //
 // Fast-path machinery (see DESIGN.md §3, "fast path"):
 //   * parse-once headers — `Parsed()` decodes the frame lazily and caches
 //     the `ParsedFrame` view on the packet, so the switch, tunnel
 //     encap/decap and every µmbox element share one parse instead of
-//     re-decoding the same bytes at each hop. Mutating the bytes through
-//     `MutableData()`/`SetData()` invalidates the cached view.
+//     re-decoding the same bytes at each hop. The bytes are reachable only
+//     through the const `data()`, so the cached view cannot go stale; only
+//     copy-assignment and pool reuse replace them, and both drop the view.
 //   * pooled allocation — `PacketPool` recycles Packet objects (and the
-//     heap capacity of their byte/trace vectors) through a free list;
+//     heap capacity of their byte vectors) through a free list;
 //     `MakePacket`/`ClonePacket` draw from the global pool.
-//   * gated tracing — per-hop trace appends are test-only machinery; they
-//     compile to a single predictable branch when disabled via
-//     `SetPacketTracing(false)` (benches) or IOTSEC_NO_PACKET_TRACE.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -33,8 +30,8 @@
 
 namespace iotsec::net {
 
-/// Globally enables/disables per-hop packet traces. Default: enabled
-/// (tests rely on traces); benches disable it to measure the real path.
+/// No-op. Kept only because the perfbench harness still calls
+/// it; packets no longer carry a hop trace to switch on or off.
 void SetPacketTracing(bool enabled);
 
 class Packet {
@@ -45,18 +42,11 @@ class Packet {
   // The cached ParsedFrame holds spans into data_, so copies must
   // re-parse against their own buffer rather than inherit the view.
   Packet(const Packet& other)
-      : created_at(other.created_at),
-        ingress_port(other.ingress_port),
-        attributed_device(other.attributed_device),
-        data_(other.data_),
-        trace_(other.trace_) {}
+      : created_at(other.created_at), data_(other.data_) {}
   Packet& operator=(const Packet& other) {
     if (this != &other) {
       created_at = other.created_at;
-      ingress_port = other.ingress_port;
-      attributed_device = other.attributed_device;
       data_ = other.data_;
-      trace_ = other.trace_;
       InvalidateParse();
     }
     return *this;
@@ -66,18 +56,6 @@ class Packet {
 
   [[nodiscard]] const Bytes& data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
-
-  /// Mutable access to the raw bytes; invalidates the cached parse.
-  [[nodiscard]] Bytes& MutableData() {
-    InvalidateParse();
-    return data_;
-  }
-
-  /// Replaces the raw bytes; invalidates the cached parse.
-  void SetData(Bytes data) {
-    data_ = std::move(data);
-    InvalidateParse();
-  }
 
   /// Parse-once header view: decodes the frame on first call and serves
   /// the cached view afterwards. Returns nullptr for malformed frames
@@ -93,68 +71,27 @@ class Packet {
     return parsed_ ? &*parsed_ : nullptr;
   }
 
-  /// Drops the cached header view (called automatically on mutation).
+  SimTime created_at = 0;
+
+ private:
+  friend class PacketPool;
+
   void InvalidateParse() const {
     parsed_.reset();
     parse_cached_ = false;
   }
 
-  SimTime created_at = 0;
-  /// Port index on the node currently holding the packet.
-  int ingress_port = -1;
-  /// Device the packet is attributed to (set by the edge switch when the
-  /// source is a known device); kInvalidDevice otherwise.
-  DeviceId attributed_device = kInvalidDevice;
-
-  [[nodiscard]] static bool TracingEnabled() {
-#ifdef IOTSEC_NO_PACKET_TRACE
-    return false;
-#else
-    return tracing_enabled_;
-#endif
-  }
-
-  /// Appends a hop label ("umbox:fw-7", "switch:2") to the trace.
-  /// No-op (and no allocation in trace_) when tracing is disabled;
-  /// call sites that build expensive labels should check TracingEnabled()
-  /// first so the label itself is never constructed.
-  void Trace(std::string hop) {
-    if (TracingEnabled()) trace_.push_back(std::move(hop));
-  }
-
-  /// Copies another packet's hop trace (encap/decap boundaries splice
-  /// traces across the tunnel). Gated like Trace().
-  void CopyTraceFrom(const Packet& other) {
-    if (TracingEnabled()) {
-      trace_.insert(trace_.end(), other.trace_.begin(), other.trace_.end());
-    }
-  }
-
-  [[nodiscard]] const std::vector<std::string>& trace() const {
-    return trace_;
-  }
-
- private:
-  friend class PacketPool;
-  friend void SetPacketTracing(bool);
-
   /// Resets the packet to a blank state, keeping heap capacity so the
   /// pool's next user skips the allocations.
   void ResetForReuse() {
     data_.clear();
-    trace_.clear();
     InvalidateParse();
     created_at = 0;
-    ingress_port = -1;
-    attributed_device = kInvalidDevice;
   }
 
   Bytes data_;
-  std::vector<std::string> trace_;
   mutable std::optional<proto::ParsedFrame> parsed_;
   mutable bool parse_cached_ = false;
-
-  static inline bool tracing_enabled_ = true;
 };
 
 using PacketPtr = std::shared_ptr<Packet>;
@@ -182,7 +119,7 @@ class PacketPool {
   /// A packet whose bytes are `data` (recycled storage when available).
   PacketPtr Acquire(Bytes data);
 
-  /// A copy of `src` (data, metadata, trace) in recycled storage.
+  /// A copy of `src` (bytes and creation time) in recycled storage.
   PacketPtr Clone(const Packet& src);
 
   /// When disabled, Acquire/Clone allocate fresh packets and releases
@@ -190,9 +127,6 @@ class PacketPool {
   void SetEnabled(bool enabled) { enabled_ = enabled; }
 
   [[nodiscard]] std::size_t FreeCount() const { return free_.size(); }
-
-  /// Bounds the free list; surplus releases are simply freed.
-  void SetMaxFree(std::size_t max_free) { max_free_ = max_free; }
 
   /// Packets released on a thread this pool isn't bound to (deleted
   /// rather than recycled; see class comment).
@@ -214,8 +148,10 @@ class PacketPool {
   void Release(Packet* pkt);
   void PublishOccupancy() const;
 
+  /// Bounds the free list; surplus releases are simply freed.
+  static constexpr std::size_t kMaxFree = 16384;
+
   std::vector<std::unique_ptr<Packet>> free_;
-  std::size_t max_free_ = 16384;
   bool enabled_ = true;
   std::atomic<std::uint64_t> foreign_releases_{0};
   // Acquire increments on the owning thread; Release may decrement from a

@@ -25,9 +25,13 @@ std::optional<DecapsulatedFrame> Decapsulate(
   if (!eth || eth->ethertype != EtherType::kTunnel) return std::nullopt;
   DecapsulatedFrame out;
   out.header.vni = r.U32();
-  out.header.direction = static_cast<TunnelDirection>(r.U8());
+  const std::uint8_t direction = r.U8();
   out.header.origin_switch = r.U32();
-  if (!r.Ok()) return std::nullopt;
+  if (!r.Ok() ||
+      direction > static_cast<std::uint8_t>(TunnelDirection::kFromUmbox)) {
+    return std::nullopt;
+  }
+  out.header.direction = static_cast<TunnelDirection>(direction);
   auto rest = r.Rest();
   out.inner.assign(rest.begin(), rest.end());
   return out;

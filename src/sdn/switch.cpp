@@ -51,10 +51,6 @@ void Switch::Flood(const net::PacketPtr& pkt, int in_port) {
 
 void Switch::Receive(net::PacketPtr pkt, int port) {
   ++stats_.frames;
-  if (net::Packet::TracingEnabled()) {
-    pkt->Trace("switch:" + std::to_string(id_));
-  }
-
   const auto* frame = pkt->Parsed();
   if (frame == nullptr) {
     ++stats_.drops;
@@ -70,16 +66,24 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
   // and delivers by L2 table; transit switches pass the tunnel intact
   // toward the origin (otherwise the origin's diversion rules would
   // re-steer the already-inspected inner frame — a loop).
+  bool to_umbox = false;
   if (frame->eth.ethertype == proto::EtherType::kTunnel) {
     auto decap = proto::Decapsulate(pkt->data());
     if (decap &&
         decap->header.direction == proto::TunnelDirection::kFromUmbox) {
+      // A verdict skips the diversion rules, so it is trusted only on a
+      // port µmbox-bound traffic left through; anywhere else it is a
+      // forgery (a device wrapping its own frame to bypass its µmbox).
+      if (port < 0 || port >= PortCount() ||
+          !ports_[static_cast<std::size_t>(port)].umbox_facing) {
+        ++stats_.drops;
+        return;
+      }
       if (decap->header.origin_switch == id_ ||
           decap->header.origin_switch == 0) {
         ++stats_.decapsulated;
         auto inner = net::MakePacket(std::move(decap->inner));
         inner->created_at = pkt->created_at;
-        inner->CopyTraceFrom(*pkt);
         HandleTunnelReturn(std::move(inner));
         return;
       }
@@ -93,6 +97,7 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
     }
     // kToUmbox tunnel frames in transit fall through to the flow table
     // (the controller installs transit entries toward the cluster).
+    to_umbox = decap.has_value();
   }
 
   const FlowEntry* entry =
@@ -100,7 +105,7 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
           ? table_.LookupCached(microflow_cache_, *frame, port, pkt->size())
           : table_.Lookup(*frame, port, pkt->size());
   if (entry != nullptr) {
-    Apply(*entry, std::move(pkt), port);
+    Apply(*entry, std::move(pkt), port, to_umbox);
     return;
   }
 
@@ -122,7 +127,14 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
   }
 }
 
-void Switch::Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port) {
+void Switch::MarkUmboxFacing(int port) {
+  if (port >= 0 && port < PortCount()) {
+    ports_[static_cast<std::size_t>(port)].umbox_facing = true;
+  }
+}
+
+void Switch::Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port,
+                   bool to_umbox) {
   const std::size_t n = entry.actions.size();
   for (std::size_t i = 0; i < n; ++i) {
     const auto& action = entry.actions[i];
@@ -132,6 +144,7 @@ void Switch::Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port) {
     const bool last = i + 1 == n;
     switch (action.type) {
       case ActionType::kOutput:
+        if (to_umbox) MarkUmboxFacing(action.out_port);
         Output(last ? std::move(pkt) : net::ClonePacket(*pkt),
                action.out_port);
         break;
@@ -149,6 +162,7 @@ void Switch::Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port) {
         break;
       case ActionType::kTunnelToUmbox: {
         ++stats_.tunneled;
+        MarkUmboxFacing(action.out_port);
         proto::TunnelHeader th;
         th.vni = action.umbox;
         th.direction = proto::TunnelDirection::kToUmbox;
@@ -158,7 +172,6 @@ void Switch::Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port) {
                                          pkt->data());
         auto outer_pkt = net::MakePacket(std::move(outer));
         outer_pkt->created_at = pkt->created_at;
-        outer_pkt->CopyTraceFrom(*pkt);
         Output(std::move(outer_pkt), action.out_port);
         break;
       }

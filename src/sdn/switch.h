@@ -64,7 +64,9 @@ class Switch final : public net::PacketSink {
 
   /// Inter-switch topology: which port leads toward another switch.
   /// Returning (kFromUmbox) tunnel frames are decapsulated only at their
-  /// origin switch; transit switches forward them here intact.
+  /// origin switch; transit switches forward them here intact. Either
+  /// way they are accepted only on a port this switch has sent
+  /// µmbox-bound tunnel traffic out of; elsewhere they are dropped.
   void SetSwitchPort(SwitchId sw, int port) { switch_ports_[sw] = port; }
   [[nodiscard]] int PortToSwitch(SwitchId sw) const {
     const auto it = switch_ports_.find(sw);
@@ -126,9 +128,16 @@ class Switch final : public net::PacketSink {
   struct Port {
     net::Link* link = nullptr;
     int link_end = 0;
+    /// µmbox-bound tunnel traffic has left through this port (a tunnel
+    /// action, or transit of a kToUmbox frame): the only ports returning
+    /// verdict frames are accepted on.
+    bool umbox_facing = false;
   };
 
-  void Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port);
+  /// `to_umbox`: the packet is a kToUmbox tunnel frame in transit.
+  void Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port,
+             bool to_umbox);
+  void MarkUmboxFacing(int port);
   void Flood(const net::PacketPtr& pkt, int in_port);
   void HandleTunnelReturn(net::PacketPtr pkt);
 

@@ -1,6 +1,5 @@
 // Fast-path correctness: microflow cache ≡ linear scan (property test),
-// generation invalidation, parse-once header caching, pooled packets and
-// gated tracing.
+// generation invalidation, parse-once header caching and pooled packets.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -223,7 +222,7 @@ TEST(MicroflowCache, FlowKeyCoversAllMatchFields) {
               sdn::FlowKey::FromFrame(*fa, 0));
 }
 
-TEST(ParseOnce, CachedViewMatchesFreshParseAndInvalidatesOnMutation) {
+TEST(ParseOnce, CachedViewMatchesFreshParse) {
   auto pkt = net::MakePacket(proto::BuildUdpFrame(
       MacAddress::FromId(1), MacAddress::FromId(2), Ipv4Address(10, 0, 0, 3),
       Ipv4Address(10, 0, 0, 4), 1234, 5678, {}));
@@ -233,19 +232,39 @@ TEST(ParseOnce, CachedViewMatchesFreshParseAndInvalidatesOnMutation) {
   EXPECT_EQ(first->udp->dst_port, 5678);
   // Second call serves the identical cached object.
   EXPECT_EQ(pkt->Parsed(), first);
+}
 
-  // Mutating the bytes invalidates the view; the next parse sees the
-  // rewritten frame.
-  pkt->SetData(proto::BuildUdpFrame(
-      MacAddress::FromId(1), MacAddress::FromId(2), Ipv4Address(10, 0, 0, 9),
+TEST(ParseOnce, PoolReuseDropsTheCachedView) {
+  // The one way a packet's bytes change: the pool hands a released
+  // object back out with new bytes. The old parse must not survive it.
+  auto a = net::MakePacket(proto::BuildUdpFrame(
+      MacAddress::FromId(1), MacAddress::FromId(2), Ipv4Address(10, 0, 0, 3),
       Ipv4Address(10, 0, 0, 4), 1234, 5678, {}));
-  const auto* second = pkt->Parsed();
-  ASSERT_NE(second, nullptr);
-  EXPECT_EQ(second->ip->src, Ipv4Address(10, 0, 0, 9));
+  ASSERT_NE(a->Parsed(), nullptr);
+  net::Packet* raw = a.get();
+  a.reset();  // back to the pool's free list, parse cached
+  auto b = net::MakePacket(proto::BuildUdpFrame(
+      MacAddress::FromId(1), MacAddress::FromId(2), Ipv4Address(10, 0, 0, 9),
+      Ipv4Address(10, 0, 0, 4), 4321, 80, {}));
+  ASSERT_EQ(b.get(), raw);  // the same object, recycled
+  const auto* frame = b->Parsed();
+  ASSERT_NE(frame, nullptr);
+  EXPECT_EQ(frame->ip->src, Ipv4Address(10, 0, 0, 9));
+  EXPECT_EQ(frame->udp->src_port, 4321);
+  EXPECT_EQ(frame->udp->dst_port, 80);
+  // The view points into the recycled packet's current bytes.
+  const auto* base = b->data().data();
+  EXPECT_GE(frame->payload.data(), base);
+  EXPECT_LE(frame->payload.data() + frame->payload.size(),
+            base + b->data().size());
 
-  // MutableData() also invalidates (truncate to garbage -> parse fails).
-  pkt->MutableData().resize(3);
-  EXPECT_EQ(pkt->Parsed(), nullptr);
+
+  // Recycled again with bytes too short to parse: malformed, not the
+  // previous user's view.
+  b.reset();
+  auto c = net::MakePacket(Bytes{1, 2, 3});
+  ASSERT_EQ(c.get(), raw);
+  EXPECT_EQ(c->Parsed(), nullptr);
 }
 
 TEST(ParseOnce, ClonesReparseAgainstTheirOwnBuffer) {
@@ -270,7 +289,7 @@ TEST(PacketPool, RecyclesReleasedPackets) {
   auto& pool = net::PacketPool::Global();
   auto pkt = net::MakePacket(Bytes{1, 2, 3});
   net::Packet* raw = pkt.get();
-  pkt->Trace("hop");
+  pkt->created_at = 42;
   const std::size_t before = pool.FreeCount();
   pkt.reset();  // releases to the pool's free list
   ASSERT_EQ(pool.FreeCount(), before + 1);
@@ -278,22 +297,7 @@ TEST(PacketPool, RecyclesReleasedPackets) {
   auto reused = net::MakePacket(Bytes{9});
   EXPECT_EQ(reused.get(), raw);
   EXPECT_EQ(reused->size(), 1u);
-  EXPECT_TRUE(reused->trace().empty());
-  EXPECT_EQ(reused->ingress_port, -1);
-}
-
-TEST(PacketTracing, DisabledTracingRecordsNothing) {
-  net::SetPacketTracing(false);
-  auto pkt = net::MakePacket(Bytes{1, 2, 3});
-  pkt->Trace("switch:1");
-  auto clone = net::ClonePacket(*pkt);
-  clone->CopyTraceFrom(*pkt);
-  EXPECT_TRUE(pkt->trace().empty());
-  EXPECT_TRUE(clone->trace().empty());
-  net::SetPacketTracing(true);
-  pkt->Trace("switch:1");
-  ASSERT_EQ(pkt->trace().size(), 1u);
-  EXPECT_EQ(pkt->trace()[0], "switch:1");
+  EXPECT_EQ(reused->created_at, 0);
 }
 
 // End-to-end: a switch forwarding by cache serves repeat traffic from the

@@ -81,6 +81,58 @@ TEST(Figure4Test, IoTSecPasswordProxyBlocksDefaultAndAdmitsAdmin) {
   EXPECT_EQ(bare_status, 401);
 }
 
+TEST(Figure4Test, ForgedVerdictTunnelDoesNotBypassTheProxy) {
+  // The attacker wraps a default-password request in a "verdict" tunnel
+  // frame addressed as if the camera's µmbox had already passed it. The
+  // edge switch must not decapsulate it: it did not come from the
+  // cluster, and delivering it by L2 would skip the password proxy.
+  core::Deployment dep;
+  auto* cam = dep.AddCamera("cam", {Vulnerability::kDefaultPassword},
+                            /*credential=*/"admin");
+  policy::FsmPolicy policy;
+  policy.SetDefault(core::PasswordProxyPosture(
+      cam->spec().ip, "admin", "N3w-Strong-Pass", "admin", "admin"));
+  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
+  dep.Start();
+  dep.RunFor(kSecond);
+
+  // The honest attempt goes through the proxy (and gives the switch a
+  // µmbox-facing port, so the check below is not vacuous).
+  int status = 0;
+  dep.attacker().HttpGet(cam->spec().ip, cam->spec().mac, "/admin",
+                         std::make_pair(std::string("admin"),
+                                        std::string("admin")),
+                         [&](const proto::HttpResponse& resp) {
+                           status = resp.status;
+                         });
+  dep.RunFor(2 * kSecond);
+  ASSERT_EQ(status, 401);
+  const auto decapsulated = dep.edge().stats().decapsulated;
+
+  proto::HttpRequest req;
+  req.method = "GET";
+  req.path = "/admin";
+  req.SetHeader("Authorization", proto::BasicAuthValue("admin", "admin"));
+  proto::TcpHeader tcp;
+  tcp.src_port = 41000;
+  tcp.dst_port = 80;
+  tcp.flags = proto::TcpFlags::kPsh | proto::TcpFlags::kAck;
+  const Bytes inner = proto::BuildTcpFrame(
+      dep.attacker().mac(), cam->spec().mac, dep.attacker().ip(),
+      cam->spec().ip, tcp, req.Serialize());
+  for (const SwitchId origin : {SwitchId{0}, dep.edge().id()}) {
+    proto::TunnelHeader th;
+    th.direction = proto::TunnelDirection::kFromUmbox;
+    th.origin_switch = origin;
+    dep.attacker().SendFrame(proto::Encapsulate(
+        dep.attacker().mac(), net::MacAddress::Broadcast(), th, inner));
+  }
+  dep.RunFor(2 * kSecond);
+  EXPECT_EQ(cam->stats().commands_accepted, 0u)
+      << "the forged verdict reached the camera past its proxy";
+  EXPECT_EQ(dep.edge().stats().decapsulated, decapsulated);
+}
+
 // -------------------------------------- Figure 5: cross-device policy
 
 struct Fig5World {

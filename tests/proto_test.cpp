@@ -303,6 +303,22 @@ TEST(TunnelTest, EncapDecapRoundTrip) {
   EXPECT_EQ(ToString(parsed->payload), "inner");
 }
 
+TEST(TunnelTest, UnknownDirectionRejected) {
+  // The direction byte is 0 (to µmbox) or 1 (from µmbox); anything else
+  // is not a valid tunnel frame.
+  TunnelHeader th;
+  th.direction = TunnelDirection::kFromUmbox;
+  Bytes outer = Encapsulate(MacAddress::FromId(100), MacAddress::FromId(200),
+                            th, ToBytes("inner"));
+  ASSERT_TRUE(Decapsulate(outer).has_value());
+  // Byte layout: 14-byte Ethernet header, 4-byte VNI, then direction.
+  constexpr std::size_t kDirectionOffset = 14 + 4;
+  for (const std::uint8_t bad : {2, 0x7f, 0xff}) {
+    outer[kDirectionOffset] = bad;
+    EXPECT_FALSE(Decapsulate(outer).has_value()) << int{bad};
+  }
+}
+
 TEST(TunnelTest, NonTunnelFrameRejected) {
   Bytes plain = BuildUdpFrame(MacAddress::FromId(1), MacAddress::FromId(2),
                               Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),

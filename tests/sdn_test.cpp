@@ -1,8 +1,6 @@
 // Tests for flow tables, switch forwarding semantics, and tunneling.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "dataplane/cluster.h"
 #include "proto/frame.h"
 #include "sdn/switch.h"
@@ -268,10 +266,10 @@ TEST(SwitchTest, TunnelDivertAndReturn) {
   EXPECT_EQ(ToString(inner->payload), "diverted");
 }
 
-TEST(SwitchTest, TunnelReturnKeepsCreatedAtAndTrace) {
+TEST(SwitchTest, TunnelReturnKeepsCreatedAt) {
   // A frame diverted through a real µmbox host and returned by the origin
   // switch must reach its destination with the creation time it was
-  // injected with and the hops it took before the tunnel.
+  // injected with.
   SwitchRig rig;
   const int device_port = rig.AddPort();
   const int peer_port = rig.AddPort();
@@ -301,7 +299,6 @@ TEST(SwitchTest, TunnelReturnKeepsCreatedAtAndTrace) {
   auto pkt = net::MakePacket(
       UdpWire(device_ip, Ipv4Address(10, 0, 0, 9), 5009, "timed"));
   pkt->created_at = kCreatedAt;
-  pkt->Trace("device");
   rig.links[static_cast<std::size_t>(device_port)]->Send(1, std::move(pkt));
   rig.sim.Run();
 
@@ -311,13 +308,73 @@ TEST(SwitchTest, TunnelReturnKeepsCreatedAtAndTrace) {
   ASSERT_EQ(peer_sink.packets.size(), 1u);
   const net::Packet& delivered = *peer_sink.packets[0];
   EXPECT_EQ(delivered.created_at, kCreatedAt);
-  if (net::Packet::TracingEnabled()) {
-    const auto& trace = delivered.trace();
-    ASSERT_FALSE(trace.empty());
-    EXPECT_EQ(trace.front(), "device");
-    EXPECT_GE(std::count(trace.begin(), trace.end(), "switch:7"), 2)
-        << "both the diverting and the returning pass through the switch";
-  }
+  // Both the diverted frame and its returning verdict passed the switch,
+  // and the verdict came from the µmbox host, not around it.
+  EXPECT_EQ(rig.sw.stats().frames, 2u);
+  EXPECT_EQ(host.stats().tunneled_in, 1u);
+  EXPECT_EQ(host.stats().returned, 1u);
+}
+
+TEST(SwitchTest, ForgedVerdictIsDroppedOffTheUmboxPath) {
+  // A diverted device wraps its own frame in a kFromUmbox tunnel and
+  // sends it from its access port. Decapsulating it would deliver the
+  // inner frame by L2 without consulting the diversion rules — skipping
+  // the device's µmbox. Verdicts are accepted only on a port µmbox-bound
+  // traffic left through.
+  SwitchRig rig;
+  const int device_port = rig.AddPort();
+  const int peer_port = rig.AddPort();
+  const int cluster_port = rig.AddPort();
+  const int uplink_port = rig.AddPort();
+  const auto device_ip = Ipv4Address(10, 0, 0, 5);
+  rig.sw.SetMacPort(MacAddress::FromId(2), peer_port);
+  rig.sw.SetSwitchPort(/*sw=*/3, uplink_port);
+  FlowEntry divert;
+  divert.priority = 100;
+  divert.match = FlowMatch::FromIp(device_ip);
+  divert.actions = {FlowAction::Tunnel(/*umbox=*/55, cluster_port)};
+  rig.sw.flow_table().Install(divert);
+
+  const Bytes evil =
+      UdpWire(device_ip, Ipv4Address(10, 0, 0, 9), 5009, "evil");
+  auto forge = [&](SwitchId origin) {
+    proto::TunnelHeader th;
+    th.vni = 55;
+    th.direction = proto::TunnelDirection::kFromUmbox;
+    th.origin_switch = origin;
+    return proto::Encapsulate(MacAddress::FromId(1), MacAddress::Broadcast(),
+                              th, evil);
+  };
+
+  // Before any diversion, a verdict is trusted on no port at all.
+  rig.InjectOn(cluster_port, forge(7));
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.stats().drops, 1u);
+
+  // Legitimate diversion marks the cluster port.
+  rig.InjectOn(device_port,
+               UdpWire(device_ip, Ipv4Address(10, 0, 0, 9), 5009, "ok"));
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.stats().tunneled, 1u);
+
+  // Forged verdicts from the access port: for this switch (decap), for
+  // the wildcard origin 0, and for another switch (transit) — all dropped.
+  rig.InjectOn(device_port, forge(7));
+  rig.InjectOn(device_port, forge(0));
+  rig.InjectOn(device_port, forge(3));
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.stats().decapsulated, 0u);
+  EXPECT_EQ(rig.sw.stats().drops, 4u);
+  EXPECT_TRUE(rig.sinks[static_cast<std::size_t>(peer_port)]->packets.empty());
+  EXPECT_TRUE(
+      rig.sinks[static_cast<std::size_t>(uplink_port)]->packets.empty());
+
+  // The same verdict from the cluster port is the real thing.
+  rig.InjectOn(cluster_port, forge(7));
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.stats().decapsulated, 1u);
+  ASSERT_EQ(rig.sinks[static_cast<std::size_t>(peer_port)]->packets.size(),
+            1u);
 }
 
 TEST(SwitchTest, MalformedFrameDropped) {
